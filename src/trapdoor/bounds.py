@@ -32,6 +32,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import config
@@ -317,20 +318,26 @@ def constraint_check(
 ) -> bool:
     """True iff every output mass (P^T p)_j is non-negative.
 
-    Entries of p may be ints, Fractions, Dyadics, or floats; the test is
-    exact (floats convert losslessly to rationals).
+    Entries of p may be ints, Fractions, Dyadics, or floats, of any sign.
+    The test is exact and integer-only: each entry becomes a Fraction (floats
+    are dyadic, so that is lossless), p is scaled by the lcm of the
+    denominators to integers p_int, and the sign of each column sum
+    sum_i p_int[i] * P.data.int_rows[i][j] decides, since both scales are
+    positive.  Non-finite entries raise ValueError.
     """
     if P is None:
         P = build_channel_matrix(n, s0)
     if len(p) != P.dim:
         raise ValueError("distribution length must be 2**n")
-    pf = [v.as_fraction() if isinstance(v, Dyadic) else Fraction(v) for v in p]
-    scale = 1 << P.data.exp
-    for j in range(P.dim):
-        col = sum(pf[i] * P.data.int_rows[i][j] for i in range(P.dim))
-        if col / scale < 0:
-            return False
-    return True
+    pf = []
+    for i, v in enumerate(p):
+        try:
+            pf.append(v.as_fraction() if isinstance(v, Dyadic) else Fraction(v))
+        except (OverflowError, ValueError):
+            raise ValueError(f"distribution entry {i} is {v}, not a finite number") from None
+    scale = math.lcm(*(f.denominator for f in pf))
+    p_int = [f.numerator * (scale // f.denominator) for f in pf]
+    return all(sum(map(mul, p_int, col)) >= 0 for col in zip(*P.data.int_rows))
 
 
 def golden_ratio_reference() -> float:

@@ -2,8 +2,9 @@
 
 Subcommands: matrix, enumerate, entropy, omega, bound, ba, fractal,
 sierpinski, verify.  Exit codes: 0 success, 1 verification failure, 2 usage
-error.  Default initial state is 0 everywhere; the state-1 paths are
-exercised by `verify` through the exchange symmetries.
+error (a request too large for memory included).  Default initial state is
+0 everywhere; the state-1 paths are exercised by `verify` through the
+exchange symmetries.
 """
 
 from __future__ import annotations
@@ -294,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return USAGE_ERROR
+    except MemoryError:
+        sys.stderr.write(f"error: {args.command}: the requested size did not fit in memory\n")
         return USAGE_ERROR
 
 

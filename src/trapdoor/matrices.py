@@ -198,8 +198,9 @@ class DyadicMatrix:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         n = self.dim
-        bound = self.max_abs_int() * other.max_abs_int() * n + 1
-        lb = _limb_bytes_for(bound)
+        b_max = other.max_abs_int()
+        # the limbs hold the packed factor's own entries as well as the product's
+        lb = _limb_bytes_for(max(self.max_abs_int() * b_max * n + 1, b_max))
         packed = _pack_rows(other.int_rows, lb)
         out = []
         for arow in self.int_rows:
@@ -224,11 +225,10 @@ class DyadicMatrix:
             except ValueError:
                 return False
             shift_e = 0
-        bound = self.max_abs_int() * other.max_abs_int() * n + 1
-        exp_max = expected.max_abs_int() << shift_e
-        if exp_max > bound:
-            bound = exp_max
-        lb = _limb_bytes_for(bound)
+        b_max = other.max_abs_int()
+        lb = _limb_bytes_for(
+            max(self.max_abs_int() * b_max * n + 1, b_max, expected.max_abs_int() << shift_e)
+        )
         packed = _pack_rows(other.int_rows, lb)
         want_rows = (
             expected.int_rows

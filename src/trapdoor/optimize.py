@@ -54,11 +54,37 @@ def _as_prob_vector(p: Sequence[float], dim: int) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (dim,):
         raise ValueError(f"distribution must have length {dim}")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"distribution entry {i} is {arr[i]}, not a finite number")
     if arr.min() < -1e-12:
         raise ValueError("distribution has a negative entry")
     if abs(arr.sum() - 1.0) > 1e-9:
         raise ValueError(f"distribution sums to {arr.sum()}, expected 1")
     return np.clip(arr, 0.0, None)
+
+
+def _float_matrix(P: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(W, wlogw): the channel as floats and its row sums of W_ij log2 W_ij.
+
+    Both are exact: every entry is 0 or a power of two, so the scaling, the
+    logarithms and the products are exact in double precision.
+    """
+    W = np.array(P.data.int_rows, dtype=float) * 2.0**-P.data.exp
+    wlogw = (W * np.log2(np.where(W > 0.0, W, 1.0))).sum(axis=1)
+    return W, wlogw
+
+
+def _divergences(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """D_i = sum_j W_ij log2(W_ij / q_j) in bits, with output distribution q = p W.
+
+    Exact on the support of p: p_i > 0 and W_ij > 0 give q_j >= p_i W_ij > 0,
+    so the dead columns (q_j = 0, read as log2 1 = 0) only meet zero entries
+    of those rows.  Entries off the support are meaningless.
+    """
+    q = p @ W
+    return wlogw - W @ np.log2(np.where(q > 0.0, q, 1.0))
 
 
 def mutual_information(P: ChannelMatrix, p: Sequence[float]) -> float:
@@ -68,17 +94,11 @@ def mutual_information(P: ChannelMatrix, p: Sequence[float]) -> float:
     """
     if P.n < 1:
         raise ValueError("mutual information per letter needs n >= 1")
-    W = np.array(P.float_rows())
     arr = _as_prob_vector(p, P.dim)
-    q = arr @ W
-    total = 0.0
-    for i in range(P.dim):
-        if arr[i] <= 0.0:
-            continue
-        row = W[i]
-        nz = row > 0.0
-        total += arr[i] * float(np.dot(row[nz], np.log2(row[nz] / q[nz])))
-    return total / P.n
+    W, wlogw = _float_matrix(P)
+    D = _divergences(W, wlogw, arr)
+    support = arr > 0.0
+    return float(arr[support] @ D[support]) / P.n
 
 
 def mutual_information_exact(P: ChannelMatrix, p: Sequence) -> Fraction:
@@ -140,28 +160,20 @@ def blahut_arimoto(
     """
     if P.n < 1:
         raise ValueError("optimization per letter needs n >= 1")
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("need at least one iteration")
-    W = np.array(P.float_rows())
+    W, wlogw = _float_matrix(P)
     dim = P.dim
     p = np.full(dim, 1.0 / dim) if init is None else _as_prob_vector(init, dim)
-    mask = W > 0.0
-    wlogw = np.where(mask, W * np.log2(np.where(mask, W, 1.0)), 0.0).sum(axis=1)
     history: list[tuple[float, float]] | None = [] if track_history else None
     lower = upper = float("nan")
     it = 0
     gap = float("inf")
     for it in range(1, max_iter + 1):
         support = p > 0.0
-        q = p @ W
-        live = q > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logq = np.where(live, np.log2(np.where(live, q, 1.0)), -np.inf)
-            contrib = np.where(mask, W * logq[None, :], 0.0)
-        # rows on the support never see a dead output column, so D is finite there
-        D = wlogw - contrib.sum(axis=1)
+        D = _divergences(W, wlogw, p)
         Ds = D[support]
         lower = float(p[support] @ Ds)
         upper = float(Ds.max())

@@ -101,3 +101,9 @@ def mutual_information_reference(P: list[list[float]], p: list[float], n: int) -
             if P[i][j] > 0:
                 total += p[i] * P[i][j] * math.log2(P[i][j] / q[j])
     return total / n
+
+
+def output_masses_nonnegative(P: list[list[Fraction]], p: list[Fraction]) -> bool:
+    """True iff every column sum sum_i p_i P_ij is >= 0, in plain Fractions."""
+    dim = len(P)
+    return all(sum(p[i] * P[i][j] for i in range(dim)) >= 0 for j in range(dim))

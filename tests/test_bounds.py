@@ -1,9 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import channel_fractions, entropy_fractions, gauss_jordan_inverse
+from oracles import (
+    channel_fractions,
+    entropy_fractions,
+    gauss_jordan_inverse,
+    output_masses_nonnegative,
+)
 from trapdoor.bounds import (
     EntropyVector,
     OmegaVector,
@@ -272,6 +278,31 @@ def test_constraint_check_examples(pairs):
     assert not constraint_check(2, 0, [2, -1, 0, 0])
     with pytest.raises(ValueError):
         constraint_check(2, 0, [1, 0, 0])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="entry 2"):
+            constraint_check(2, 0, [0.5, 0.0, bad, 0.5])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_constraint_check_matches_fraction_oracle(n, pairs):
+    # signed mixed-type vectors: ints, floats, Dyadics and non-dyadic Fractions
+    rng = random.Random(1000 + n)
+    kinds = (
+        lambda: rng.randint(-3, 9),
+        lambda: rng.uniform(-0.5, 2.0),
+        lambda: Dyadic(rng.randint(-8, 40), rng.randint(0, 6)),
+        lambda: Fraction(rng.randint(-2, 9), rng.choice((3, 5, 7, 10))),
+    )
+    fractions = channel_fractions(n)
+    seen = set()
+    for s0 in (0, 1):
+        for _ in range(12):
+            p = [rng.choice(kinds)() for _ in range(1 << n)]
+            exact = [v.as_fraction() if isinstance(v, Dyadic) else Fraction(v) for v in p]
+            want = output_masses_nonnegative(fractions[s0], exact)
+            assert constraint_check(n, s0, p, P=pairs(n)[s0]) is want
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_relaxed_optimum_feasible_for_small_n(inverses):

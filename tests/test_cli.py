@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from trapdoor import fractal
 from trapdoor.cli import main
 from trapdoor.serialization import read_matrix_csv
 
@@ -125,6 +126,17 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "14/14 checks passed" in out
     assert "FAIL" not in out
+
+
+def test_out_of_memory_is_usage_error(monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(fractal, "ifs_iterate", no_memory)
+    code, out, err = run(capsys, "fractal", "--resolution", "3")
+    assert code == 2
+    assert err.startswith("error: ") and "did not fit in memory" in err
+    assert "Traceback" not in out + err
 
 
 def test_usage_errors(capsys):

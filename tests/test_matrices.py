@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trapdoor.dyadic import Dyadic
 from trapdoor.matrices import DyadicMatrix, _pack_rows, _unpack_row
@@ -30,8 +30,20 @@ def test_pack_unpack_round_trip(row):
     assert _unpack_row(packed, lb, len(row)) == row
 
 
+class _Drawn:
+    """Stand-in for st.data() in an explicit example: draw returns a fixed value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy):
+        return self.value
+
+
 @settings(deadline=None)
 @given(small_int_matrices, st.data())
+# an all-zero left factor must still leave the packed right factor's entries room
+@example(a=DyadicMatrix([[0]], 0), data=_Drawn(DyadicMatrix([[128]], 0)))
 def test_packed_matmul_matches_naive(a, data):
     n = a.dim
     b = data.draw(

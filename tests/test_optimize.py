@@ -43,12 +43,13 @@ def test_exact_mi_rejects_non_power_ratios(pairs):
 
 
 def test_mi_matches_reference(pairs):
-    P = pairs(3)[0]
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        p = rng.dirichlet(np.ones(8))
-        ref = mutual_information_reference(P.float_rows(), list(p), 3)
-        assert abs(mutual_information(P, p) - ref) < 1e-12
+    for n in range(1, 7):
+        for P in pairs(n):
+            for _ in range(10 if n <= 3 else 3):
+                p = rng.dirichlet(np.ones(P.dim))
+                ref = mutual_information_reference(P.float_rows(), list(p), n)
+                assert abs(mutual_information(P, p) - ref) < 1e-12
 
 
 def test_mi_validates_distribution(pairs):
@@ -58,6 +59,9 @@ def test_mi_validates_distribution(pairs):
         mutual_information(pairs(1)[0], [1.5, -0.5])
     with pytest.raises(ValueError):
         mutual_information(pairs(1)[0], [1.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="entry 0"):
+            mutual_information(pairs(1)[0], [bad, 1.0])
 
 
 def test_mi_nonnegative_on_random_simplex(pairs):
@@ -119,8 +123,24 @@ def test_ba_non_convergence_reported(pairs):
 
 
 def test_ba_rejects_bad_tol(pairs):
-    with pytest.raises(ValueError):
-        blahut_arimoto(pairs(1)[0], tol=0.0)
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            blahut_arimoto(pairs(1)[0], tol=tol)
+
+
+def test_ba_rejects_non_finite_init(pairs):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="entry 0"):
+            blahut_arimoto(pairs(1)[0], tol=1e-9, init=[bad, 1.0])
+
+
+@pytest.mark.parametrize(
+    "n, iterations", [(1, 36), (2, 87), (3, 192), (4, 236), (5, 364), (6, 1385)]
+)
+def test_ba_iteration_counts_pinned(n, iterations, pairs):
+    # iteration counts of the plain BA update at tol 1e-8 from the uniform start
+    for P in pairs(n):
+        assert blahut_arimoto(P, tol=1e-8, max_iter=10_000).iterations == iterations
 
 
 def test_ba_zero_inputs_stay_zero(pairs):
