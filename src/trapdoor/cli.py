@@ -2,9 +2,9 @@
 
 Subcommands: matrix, enumerate, entropy, omega, bound, ba, fractal,
 sierpinski, verify.  Exit codes: 0 success, 1 verification failure, 2 usage
-error (a request too large for memory included).  Default initial state is
-0 everywhere; the state-1 paths are exercised by `verify` through the
-exchange symmetries.
+error (a request too large for memory included), 130 interrupted (Ctrl-C).
+Default initial state is 0 everywhere; the state-1 paths are exercised by
+`verify` through the exchange symmetries.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .matrices import DyadicMatrix
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -228,8 +229,8 @@ def _check_resolution(k: int) -> None:
         raise ValueError("resolution must be non-negative")
     if k > limit:
         raise ValueError(
-            f"resolution {k} exceeds the cap {limit} (the grid has 4**k cells; "
-            f"override with {config.MATRIX_CAP_ENV})"
+            f"resolution {k} exceeds the cap {limit} (its grid alone takes 4**{k} bytes "
+            f"= {4**k / 2**30:.3g} GiB at one byte per cell; override with {config.MATRIX_CAP_ENV})"
         )
 
 
@@ -299,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         sys.stderr.write(f"error: {args.command}: the requested size did not fit in memory\n")
         return USAGE_ERROR
+    except KeyboardInterrupt:
+        sys.stderr.write("error: interrupted\n")
+        return INTERRUPTED
 
 
 if __name__ == "__main__":

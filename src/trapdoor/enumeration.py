@@ -38,15 +38,19 @@ class OutputDistribution:
     outputs: dict[str, Dyadic]
 
     def __post_init__(self) -> None:
-        total = Dyadic(0)
+        # integer arithmetic on (num, exp): a power of 1/2 is num = 1 once
+        # Dyadic has normalized it, and the sum is taken over 2**top
+        n = len(self.input)
+        top = 0
         for y, p in self.outputs.items():
-            if len(y) != len(self.input):
+            if len(y) != n:
                 raise ValueError("output length must match input length")
-            if not (p > 0 and p <= 1 and p.is_pow2()):
+            if p.num != 1:
                 raise ValueError(f"likelihood {p} is not a positive power of 1/2")
-            total = total + p
-        if total != 1:
-            raise ValueError(f"likelihoods sum to {total}, expected 1")
+            top = max(top, p.exp)
+        total = sum(1 << (top - p.exp) for p in self.outputs.values())
+        if total != 1 << top:
+            raise ValueError(f"likelihoods sum to {Dyadic(total, top)}, expected 1")
 
     def support(self) -> list[str]:
         """Feasible outputs in lexicographic order."""

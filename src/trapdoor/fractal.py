@@ -23,12 +23,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+from numpy.lib.stride_tricks import as_strided
+
 from .channel import ChannelMatrix
 from .dyadic import Dyadic
 
 Frac3 = tuple[Fraction, Fraction, Fraction]
 
 EMPTY = -1  # z-code for an empty cell; code m >= 0 means z = 2**-m
+_UNWRITTEN = -2  # ifs_iterate's mark for output cells no map has written yet
+# render_pgm and rho_representation work in row blocks of at most this many
+# cells: their temporaries take 8 bytes or more per cell, the grid one
+_BLOCK_CELLS = 1 << 16
 
 
 class GridSemanticsError(ValueError):
@@ -98,36 +105,57 @@ class ShapeGrid:
     left (x near 0); cell (r, c) covers the open box
     (c*2**-k, (c+1)*2**-k) x (1-(r+1)*2**-k, 1-r*2**-k).  Heights are stored
     as codes: -1 for z = 0, m >= 0 for z = 2**-m with m <= k.
+
+    The codes live in one read-only int8 numpy array, ``array``: one byte per
+    cell, so resolution 14 takes 256 MiB.  ``codes`` is the same grid as a
+    list of lists; it is computed from the array on each access, not cached.
+    A grid is built from a list of lists or from an integer array; either is
+    copied and checked for shape and code range.
     """
 
-    __slots__ = ("resolution", "codes")
+    __slots__ = ("resolution", "array")
 
-    def __init__(self, resolution: int, codes: list[list[int]]) -> None:
+    def __init__(self, resolution: int, codes: list[list[int]] | np.ndarray) -> None:
         side = 1 << resolution
-        if len(codes) != side or any(len(r) != side for r in codes):
+        if not isinstance(codes, np.ndarray) and (
+            len(codes) != side or any(len(r) != side for r in codes)
+        ):
             raise ValueError(f"expected a {side}x{side} grid")
-        for row in codes:
-            for m in row:
-                if m != EMPTY and not 0 <= m <= resolution:
-                    raise ValueError(
-                        f"height code {m} outside {{0}} u {{2**-m: m <= {resolution}}}"
-                    )
+        arr = np.asarray(codes)
+        if arr.shape != (side, side):
+            raise ValueError(f"expected a {side}x{side} grid")
+        if arr.dtype.kind not in "iuO":
+            raise ValueError(f"height codes must be integers, got dtype {arr.dtype}")
         self.resolution = resolution
-        self.codes = codes
+        self.array = _int8_codes(arr, resolution)
+        self.array.flags.writeable = False
+
+    @classmethod
+    def _wrap(cls, resolution: int, array: np.ndarray) -> "ShapeGrid":
+        """A grid around an int8 array the caller built valid (no copy, no checks)."""
+        grid = cls.__new__(cls)
+        grid.resolution = resolution
+        grid.array = array
+        array.flags.writeable = False
+        return grid
 
     @property
     def side(self) -> int:
         return 1 << self.resolution
 
+    @property
+    def codes(self) -> list[list[int]]:
+        return self.array.tolist()
+
     def z(self, row: int, col: int) -> Dyadic:
-        m = self.codes[row][col]
+        m = int(self.array[row, col])
         return Dyadic(0) if m == EMPTY else Dyadic(1, m)
 
     def dyadic_rows(self) -> list[list[Dyadic]]:
-        return [[self.z(r, c) for c in range(self.side)] for r in range(self.side)]
+        return [[Dyadic(0) if m == EMPTY else Dyadic(1, m) for m in row] for row in self.codes]
 
     def nonzero_count(self) -> int:
-        return sum(1 for row in self.codes for m in row if m != EMPTY)
+        return int(np.count_nonzero(self.array != EMPTY))
 
     def quadrant_codes(self, vertical: int, horizontal: int) -> list[list[int]]:
         """Height codes of one quadrant: (0,0) top-left .. (1,1) bottom-right.
@@ -140,17 +168,29 @@ class ShapeGrid:
             raise ValueError("a 1x1 grid has no quadrants")
         half = self.side // 2
         r0, c0 = vertical * half, horizontal * half
-        return [row[c0 : c0 + half] for row in self.codes[r0 : r0 + half]]
+        return self.array[r0 : r0 + half, c0 : c0 + half].tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShapeGrid):
             return NotImplemented
-        return self.resolution == other.resolution and self.codes == other.codes
+        return self.resolution == other.resolution and np.array_equal(self.array, other.array)
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return f"ShapeGrid(resolution={self.resolution}, nonzero={self.nonzero_count()})"
+
+
+def _code_range_error(m: int, resolution: int) -> ValueError:
+    return ValueError(f"height code {m} outside {{0}} u {{2**-m: m <= {resolution}}}")
+
+
+def _int8_codes(arr: np.ndarray, resolution: int) -> np.ndarray:
+    """An int8 copy of integer height codes, once each is EMPTY or in 0..resolution."""
+    bad = (arr < EMPTY) | (arr > resolution)
+    if bad.any():
+        raise _code_range_error(arr.flat[np.flatnonzero(bad)[0]], resolution)
+    return arr.astype(np.int8)
 
 
 def unit_grid() -> ShapeGrid:
@@ -160,19 +200,16 @@ def unit_grid() -> ShapeGrid:
 
 def rho_representation(P: ChannelMatrix) -> ShapeGrid:
     """Embed a channel matrix as a height grid at resolution n (matrix as printed)."""
-    e = P.data.exp
-    codes = []
-    for row in P.data.int_rows:
-        out = []
-        for v in row:
-            if v == 0:
-                out.append(EMPTY)
-            else:
-                if v & (v - 1):
-                    raise ValueError("channel entry is not a power of two")
-                out.append(e - (v.bit_length() - 1))
-        codes.append(out)
-    return ShapeGrid(P.n, codes)
+    side = P.dim
+    codes = np.empty((side, side), dtype=np.int8)
+    rows = max(1, _BLOCK_CELLS // side)
+    for r in range(0, side, rows):
+        v = np.array(P.data.int_rows[r : r + rows], dtype=np.int64)
+        if ((v < 0) | (v & (v - 1) != 0)).any():
+            raise ValueError("channel entry is not a power of two")
+        bit_length = np.frexp(v)[1]  # exact: v is 0 or a power of two
+        codes[r : r + rows] = _int8_codes(np.where(v == 0, EMPTY, P.data.exp + 1 - bit_length), P.n)
+    return ShapeGrid._wrap(P.n, codes)
 
 
 def tau_transform(g: ShapeGrid) -> ShapeGrid:
@@ -180,7 +217,7 @@ def tau_transform(g: ShapeGrid) -> ShapeGrid:
 
     Maps the embedding of one initial state onto the other.
     """
-    return ShapeGrid(g.resolution, [row[::-1] for row in g.codes[::-1]])
+    return ShapeGrid._wrap(g.resolution, g.array[::-1, ::-1])
 
 
 def trapdoor_ifs(s0: int) -> Ifs:
@@ -266,38 +303,84 @@ def _cell_transform(m: AffineMap3, res: int) -> tuple[int, int, int, int, int, i
     return r0, c0, drdr, drdc, dcdr, dcdc, zshift
 
 
+def _self_overlap(drdr: int, drdc: int, dcdr: int, dcdc: int, side: int) -> tuple[int, int] | None:
+    """A source cell whose image another cell of the same map also hits, or None.
+
+    The integer map (r, c) -> (drdr*r + drdc*c, dcdr*r + dcdc*c) is injective
+    when its determinant is nonzero.  Otherwise its kernel holds a shortest
+    vector v, and cells p and p + v collide iff both lie in the side x side box.
+    """
+    if drdr * dcdc != drdc * dcdr:
+        return None
+    a, b = (drdr, drdc) if drdr or drdc else (dcdr, dcdc)
+    if a == b == 0:
+        vr, vc = 0, 1
+    else:
+        g = math.gcd(a, b)
+        vr, vc = -b // g, a // g
+        if vr < 0 or (vr == 0 and vc < 0):
+            vr, vc = -vr, -vc
+    if vr >= side or abs(vc) >= side:
+        return None
+    return 0, max(0, -vc)
+
+
+def _overlap_error(cell: tuple[int, int]) -> GridSemanticsError:
+    return GridSemanticsError(
+        f"maps overlap at output cell {cell}; the system does not tile under grid semantics"
+    )
+
+
 def ifs_iterate(ifs: Ifs, initial: ShapeGrid, k: int) -> ShapeGrid:
     """Apply the union-of-maps operator k times; resolution grows by k.
 
     Every map image must land on its own cells (the systems here tile three
     disjoint quadrants); writing one output cell twice raises
     GridSemanticsError rather than merging.  Uncovered cells end at z = 0.
+
+    Each map is one array write: its integer cell action is affine, so its
+    image is a strided view of the flattened output.  Output cells start at
+    a mark below every code, so a map whose view holds anything above the
+    mark would overwrite an earlier map's cell.
     """
     if k < 0:
         raise ValueError("iteration count must be non-negative")
     grid = initial
     for _ in range(k):
-        res = grid.resolution
-        side_out = 1 << (res + 1)
-        target: list[list[int | None]] = [[None] * side_out for _ in range(side_out)]
+        res, src = grid.resolution, grid.array
+        side, side_out = grid.side, 1 << (res + 1)
+        top = int(src.max())
+        target = np.full((side_out, side_out), _UNWRITTEN, dtype=np.int8)
+        flat = target.reshape(-1)
         for m in ifs.maps:
             r0, c0, drdr, drdc, dcdr, dcdc, zshift = _cell_transform(m, res)
-            for r, row in enumerate(grid.codes):
-                base_r = r0 + drdr * r
-                base_c = c0 + dcdr * r
-                for c, code in enumerate(row):
-                    tr_ = base_r + drdc * c
-                    tc_ = base_c + dcdc * c
-                    if target[tr_][tc_] is not None:
-                        raise GridSemanticsError(
-                            f"maps overlap at output cell ({tr_}, {tc_}); "
-                            "the system does not tile under grid semantics"
-                        )
-                    target[tr_][tc_] = code if code == EMPTY else code + zshift
-        grid = ShapeGrid(
-            res + 1,
-            [[EMPTY if v is None else v for v in row] for row in target],
-        )
+            if top == EMPTY:
+                zshift = 0  # an all-empty source has no heights to scale
+
+            def image(r: int, c: int) -> tuple[int, int]:
+                return r0 + drdr * r + drdc * c, c0 + dcdr * r + dcdc * c
+
+            # _cell_transform checked that the four corner cells land inside
+            # the output; the image is their parallelogram, so every strided
+            # offset below stays inside the array
+            dest = as_strided(
+                flat[r0 * side_out + c0 :],
+                shape=(side, side),
+                strides=(drdr * side_out + dcdr, drdc * side_out + dcdc),
+            )
+            if dest.max() != _UNWRITTEN:
+                r, c = divmod(int(np.argmax(dest != _UNWRITTEN)), side)
+                raise _overlap_error(image(r, c))
+            cell = _self_overlap(drdr, drdc, dcdr, dcdc, side)
+            if cell is not None:
+                raise _overlap_error(image(*cell))
+            if zshift and top + zshift > res + 1:
+                raise _code_range_error(top + zshift, res + 1)
+            dest[...] = src
+            if zshift:
+                np.add(dest, zshift, out=dest, where=src != EMPTY)
+        np.maximum(target, EMPTY, out=target)  # cells no map wrote are empty
+        grid = ShapeGrid._wrap(res + 1, target)
     return grid
 
 
@@ -310,19 +393,21 @@ def render_pgm(grid: ShapeGrid, mode: str = "linear", gamma: float = 1.0) -> byt
     """
     if mode not in ("linear", "log", "binary"):
         raise ValueError(f"unknown render mode {mode!r}")
-    if mode == "linear" and gamma <= 0:
+    if mode == "linear" and not gamma > 0:
         raise ValueError("gamma must be positive")
     side = grid.side
     k = grid.resolution
-    pixels = bytearray()
-    for row in grid.codes:
-        for m in row:
-            if m == EMPTY:
-                pixels.append(0)
-            elif mode == "binary":
-                pixels.append(255)
-            elif mode == "log":
-                pixels.append(255 if k == 0 else round(255 * (1 - m / k)))
-            else:
-                pixels.append(round(255 * (0.5**m) ** gamma))
-    return b"P5\n%d %d\n255\n" % (side, side) + bytes(pixels)
+    # one pixel value per height code, indexed by the code's unsigned byte,
+    # which puts EMPTY (-1) at 255
+    lut = np.zeros(256, dtype=np.uint8)
+    for m in range(k + 1):
+        if mode == "binary":
+            lut[m] = 255
+        elif mode == "log":
+            lut[m] = 255 if k == 0 else round(255 * (1 - m / k))
+        else:
+            lut[m] = round(255 * (0.5**m) ** gamma)
+    cells = grid.array.view(np.uint8)
+    rows = max(1, _BLOCK_CELLS // side)
+    blocks = (lut[cells[r : r + rows]].tobytes() for r in range(0, side, rows))
+    return b"".join([b"P5\n%d %d\n255\n" % (side, side), *blocks])

@@ -167,7 +167,7 @@ def pgm_to_png(pgm: bytes) -> bytes:
     if not m:
         raise ValueError("not a P5 graymap produced by render_pgm")
     w, h = int(m.group(1)), int(m.group(2))
-    return png_bytes(pgm[m.end() :], w, h)
+    return png_bytes(memoryview(pgm)[m.end() :], w, h)  # no copy of the pixels
 
 
 def write_png(pgm_or_pixels: bytes, path: Union[str, Path], width: int | None = None, height: int | None = None) -> None:

@@ -107,3 +107,48 @@ def output_masses_nonnegative(P: list[list[Fraction]], p: list[Fraction]) -> boo
     """True iff every column sum sum_i p_i P_ij is >= 0, in plain Fractions."""
     dim = len(P)
     return all(sum(p[i] * P[i][j] for i in range(dim)) >= 0 for j in range(dim))
+
+
+def ifs_iterate_lists(ifs, codes: list[list[int]], resolution: int, k: int) -> list[list[int]]:
+    """The per-cell list loop that `fractal.ifs_iterate` replaced, on raw codes.
+
+    Reuses the package's `_cell_transform` for the integer action of each map
+    (the embedding tests check it against the channel matrices), so this loop
+    checks only how the maps are applied.  Raises ValueError on an overlap or
+    on a height code too fine for its resolution.
+    """
+    from trapdoor.fractal import _cell_transform
+
+    for _ in range(k):
+        side_out = 1 << (resolution + 1)
+        target: list[list[int | None]] = [[None] * side_out for _ in range(side_out)]
+        for m in ifs.maps:
+            r0, c0, drdr, drdc, dcdr, dcdc, zshift = _cell_transform(m, resolution)
+            for r, row in enumerate(codes):
+                for c, code in enumerate(row):
+                    tr_, tc_ = r0 + drdr * r + drdc * c, c0 + dcdr * r + dcdc * c
+                    if target[tr_][tc_] is not None:
+                        raise ValueError(f"maps overlap at output cell ({tr_}, {tc_})")
+                    target[tr_][tc_] = code if code == -1 else code + zshift
+        resolution += 1
+        codes = [[-1 if v is None else v for v in row] for row in target]
+        if any(m > resolution for row in codes for m in row):
+            raise ValueError("height code too fine for the resolution")
+    return codes
+
+
+def render_pgm_lists(codes: list[list[int]], resolution: int, mode: str, gamma: float = 1.0) -> bytes:
+    """The per-cell render loop that `fractal.render_pgm` replaced, on raw codes."""
+    side, k = len(codes), resolution
+    pixels = bytearray()
+    for row in codes:
+        for m in row:
+            if m == -1:
+                pixels.append(0)
+            elif mode == "binary":
+                pixels.append(255)
+            elif mode == "log":
+                pixels.append(255 if k == 0 else round(255 * (1 - m / k)))
+            else:
+                pixels.append(round(255 * (0.5**m) ** gamma))
+    return b"P5\n%d %d\n255\n" % (side, side) + bytes(pixels)

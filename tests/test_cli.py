@@ -152,3 +152,21 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 2
+
+
+def test_interrupt_exits_130(monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fractal, "ifs_iterate", interrupted)
+    code, out, err = run(capsys, "fractal", "--resolution", "3")
+    assert code == 130
+    assert err == "error: interrupted\n"
+    assert "Traceback" not in out + err
+
+
+def test_resolution_cap_states_the_grid_bytes(monkeypatch, capsys):
+    monkeypatch.setenv("TRAPDOOR_MATRIX_CAP", "4")
+    code, _, err = run(capsys, "sierpinski", "--resolution", "5")
+    assert code == 2
+    assert "4**5 bytes" in err and "cap 4" in err

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -142,3 +144,28 @@ def test_json_dict_shape():
     assert d["state"] == 0
     assert d["outputs"][0] == {"y": "001", "p": "1/2^2"}
     assert [rec["y"] for rec in d["outputs"]] == sorted(rec["y"] for rec in d["outputs"])
+
+
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        ({"01": Dyadic(1, 1), "10": Dyadic(1, 1)}, None),
+        ({"0": Dyadic(1, 1), "1": Dyadic(1, 2), "11": Dyadic(1, 2)}, "output length must match"),
+        ({"0": Dyadic(3, 2), "1": Dyadic(1, 2)}, "likelihood 3/4 is not a positive power of 1/2"),
+        ({"0": Dyadic(2)}, "likelihood 2 is not"),
+        ({"0": Dyadic(0), "1": Dyadic(1)}, "likelihood 0 is not"),
+        ({"0": Dyadic(-1, 1), "1": Dyadic(1)}, "likelihood -1/2 is not"),
+        ({"0": Dyadic(1, 1), "1": Dyadic(1, 2)}, "likelihoods sum to 3/4, expected 1"),
+        ({"0": Dyadic(1), "1": Dyadic(1, 60)}, "likelihoods sum to"),
+        ({}, "likelihoods sum to 0, expected 1"),
+    ],
+)
+def test_output_distribution_validation(outputs, message):
+    from trapdoor.enumeration import OutputDistribution
+
+    bits = "0" if outputs and len(next(iter(outputs))) == 1 else "00"
+    if message is None:
+        assert OutputDistribution(bits, 0, outputs).outputs == outputs
+    else:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OutputDistribution(bits, 0, outputs)
