@@ -12,16 +12,18 @@ recursions
 
 with P(0, 0) = P(0, 1) = [1], so every entry is 0 or a power of 1/2 and rows
 sum to exactly 1.  Inverses are computed by the block-triangular inversion
-formula applied recursively, entirely in integer arithmetic.
+formula applied recursively, entirely in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
+import numpy as np
+
 from . import config
 from .dyadic import Dyadic
-from .matrices import DyadicMatrix, IntRows, reverse_vector
+from .matrices import DyadicMatrix, IntRows, exact_product, int_array, reverse_vector, shift_down
 
 
 class ChannelMatrix:
@@ -129,6 +131,39 @@ def channel_pair(n: int, cap: int | None = None) -> tuple[ChannelMatrix, Channel
     )
 
 
+_LIST_ROWS = 128  # rows of the last inversion level turned into lists at a time
+
+
+def _corner(inv: np.ndarray, mid: IntRows, right: np.ndarray, k: int) -> np.ndarray:
+    """inv @ mid @ right / 2**k exactly; raises ArithmeticError if the division is not exact."""
+    out = shift_down(exact_product(exact_product(inv, int_array(mid)), right), k)
+    if out is None:
+        raise ArithmeticError(f"corner block is not divisible by 2^{k}")
+    return out
+
+
+def _widen(x: np.ndarray) -> np.ndarray:
+    """x as Python ints when a small multiple of it could leave int64."""
+    if x.dtype != object and np.abs(x).max() >= 1 << 60:
+        return x.astype(object)
+    return x
+
+
+def _assemble(grid: list[list[np.ndarray]], last: bool) -> np.ndarray | IntRows:
+    """The block matrix of an inversion level: an array, or list rows at the last level.
+
+    The last level goes to lists a few rows at a time, so no full-size array
+    of it is ever built next to its list form.
+    """
+    if not last:
+        return np.block(grid)
+    rows: IntRows = []
+    for blocks in grid:
+        for start in range(0, len(blocks[0]), _LIST_ROWS):
+            rows += np.hstack([b[start : start + _LIST_ROWS] for b in blocks]).tolist()
+    return rows
+
+
 def _invert_ladder(n: int, s0: int) -> DyadicMatrix:
     """Inverse of P(n, s0) via the one-step block formula, bottom-up.
 
@@ -136,27 +171,23 @@ def _invert_ladder(n: int, s0: int) -> DyadicMatrix:
         [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]
     with A = P(k-1,0), C = P(k-1,1)/2, D = P(k-1,0)/2, which collapses to
     -D^-1 C A^-1 = -A^-1 P(k-1,1) A^-1 and D^-1 = 2 A^-1.  State 1 is the
-    mirrored upper-triangular case.
+    mirrored upper-triangular case.  The working inverse is an integer array
+    between levels.
     """
-    ladder = _int_ladder(max(n - 1, 0))
-    inv: IntRows = [[1]]
+    if n == 0:
+        return DyadicMatrix([[1]], 0)
+    ladder = _int_ladder(n - 1)
+    inv = np.ones((1, 1), dtype=np.int64)
     for k in range(1, n + 1):
-        half = 1 << (k - 1)
-        prev0, prev1 = ladder[k - 1]
-        inv_m = DyadicMatrix(inv, 0)
+        # P(k-1, 1) for state 0 and P(k-1, 0) for state 1, scaled by 2**(k-1)
+        corner = _corner(inv, ladder[k - 1][1 - s0], inv, k - 1)
+        inv, corner = _widen(inv), _widen(corner)
+        zeros = np.zeros_like(inv)
         if s0 == 0:
-            mid = DyadicMatrix(prev1, k - 1)  # P(k-1, 1)
+            grid = [[inv, zeros], [-corner, 2 * inv]]
         else:
-            mid = DyadicMatrix(prev0, k - 1)  # P(k-1, 0)
-        corner = inv_m.matmul(mid).matmul(inv_m).with_exp(0).int_rows
-        zeros = [0] * half
-        if s0 == 0:
-            new = [r + zeros for r in inv]
-            new += [[-v for v in cr] + [v << 1 for v in ir] for cr, ir in zip(corner, inv)]
-        else:
-            new = [[v << 1 for v in ir] + [-v for v in cr] for ir, cr in zip(inv, corner)]
-            new += [zeros + r for r in inv]
-        inv = new
+            grid = [[2 * inv, -corner], [zeros, inv]]
+        inv = _assemble(grid, k == n)
     return DyadicMatrix(inv, 0)
 
 
@@ -182,54 +213,33 @@ def invert_two_step(n: int, s0: int, cap: int | None = None) -> DyadicMatrix:
             f"block length {n} exceeds the cap {limit} "
             f"(override with {config.MATRIX_CAP_ENV})"
         )
-    ladder = _int_ladder(max(n - 2, 0))
-    inv = DyadicMatrix([[1]], 0)
+    if n == 0:
+        return DyadicMatrix([[1]], 0)
+    ladder = _int_ladder(n - 2)
+    inv = np.ones((1, 1), dtype=np.int64)
     for k in range(2, n + 1, 2):
-        quarter = 1 << (k - 2)
-        prev0, prev1 = ladder[k - 2]
-        P0 = DyadicMatrix(prev0, k - 2)
-        P1 = DyadicMatrix(prev1, k - 2)
-        zeros = [0] * quarter
+        # P(k-2, 1) for state 0 and P(k-2, 0) for state 1, scaled by 2**(k-2)
+        mid = ladder[k - 2][1 - s0]
+        m = _corner(inv, mid, inv, k - 2)
+        f = _corner(m, mid, inv, k - 2)
+        iv, m, f = _widen(inv), _widen(m), _widen(f)
+        z = np.zeros_like(iv)
         if s0 == 0:
-            M0 = inv.matmul(P1).matmul(inv).with_exp(0)
-            F = M0.matmul(P1).matmul(inv).with_exp(0)  # then doubled below
-            iv, m = inv.int_rows, M0.int_rows
-            f = F.int_rows
-            new: IntRows = []
-            for r in range(quarter):
-                new.append(iv[r] + zeros + zeros + zeros)
-            for r in range(quarter):
-                new.append([-v for v in m[r]] + [v << 1 for v in iv[r]] + zeros + zeros)
-            for r in range(quarter):
-                new.append(zeros + [-v for v in iv[r]] + [v << 1 for v in iv[r]] + zeros)
-            for r in range(quarter):
-                new.append(
-                    [v << 1 for v in f[r]]
-                    + [-3 * v for v in m[r]]
-                    + [-(v << 1) for v in m[r]]
-                    + [v << 2 for v in iv[r]]
-                )
+            grid = [
+                [iv, z, z, z],
+                [-m, 2 * iv, z, z],
+                [z, -iv, 2 * iv, z],
+                [2 * f, -3 * m, -2 * m, 4 * iv],
+            ]
         else:
-            M1 = inv.matmul(P0).matmul(inv).with_exp(0)
-            G = M1.matmul(P0).matmul(inv).with_exp(0)
-            iv, m = inv.int_rows, M1.int_rows
-            g = G.int_rows
-            new = []
-            for r in range(quarter):
-                new.append(
-                    [v << 2 for v in iv[r]]
-                    + [-(v << 1) for v in m[r]]
-                    + [-3 * v for v in m[r]]
-                    + [v << 1 for v in g[r]]
-                )
-            for r in range(quarter):
-                new.append(zeros + [v << 1 for v in iv[r]] + [-v for v in iv[r]] + zeros)
-            for r in range(quarter):
-                new.append(zeros + zeros + [v << 1 for v in iv[r]] + [-v for v in m[r]])
-            for r in range(quarter):
-                new.append(zeros + zeros + zeros + iv[r])
-        inv = DyadicMatrix(new, 0)
-    return inv
+            grid = [
+                [4 * iv, -2 * m, -3 * m, 2 * f],
+                [z, 2 * iv, -iv, z],
+                [z, z, 2 * iv, -m],
+                [z, z, z, iv],
+            ]
+        inv = _assemble(grid, k == n)
+    return DyadicMatrix(inv, 0)
 
 
 def exchange_conjugate(

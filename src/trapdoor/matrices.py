@@ -2,66 +2,180 @@
 
 A matrix is stored as integer rows plus one shared scale exponent: the value
 of entry (i, j) is ``rows[i][j] / 2**exp``.  Keeping a single scale makes
-block assembly and equality checks integer-only, and it lets matrix products
-run through a packed big-integer representation: each row of the right-hand
-factor is encoded as one large integer with fixed-width signed limbs, so a
-row of the product is a short linear combination of big integers instead of
-O(dim) Python-level dot products.  That is what keeps the exact identity
-checks at dimension 1024 in the seconds range.
+block assembly and equality checks integer-only.
+
+Matrix products (``matmul``, ``product_equals``) are exact and run on
+float64 matrix products (BLAS dgemm).  A float64 holds every integer of
+magnitude below 2**53, so for integer matrices A @ B comes out exact, in any
+order of summation, when every partial sum stays below 2**53 in magnitude.
+That holds when max_i sum_k |a_ik| * max_kj |b_kj| < 2**53, and no float
+product is used unless that bound has been checked.  When it fails, the
+operands are cut into limbs (signed digits in base 2**L) chosen so that each
+pair of limbs meets it, and the shifted limb products are summed in int64, or
+in Python ints once the bound on the result leaves int64.  The left factor
+is converted one block of rows at a time, so no float copy of it is ever
+whole.  A matrix-vector product is one pass over the rows in Python ints,
+which costs less than converting the rows for a float64 product.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from operator import mul
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .dyadic import Dyadic
 
 IntRows = list[list[int]]
 
+_FLOAT_EXACT = 1 << 53  # float64 holds every integer of smaller magnitude
+_INT64_LIMIT = 1 << 63
+# a left factor whose row sums reach 2**_ROW_SUM_BITS is cut into limbs as well,
+# which leaves at least 53 - 40 = 13 bits for each limb of the right factor
+_ROW_SUM_BITS = 40
+# rows of the left factor converted to float64 at a time; dgemm runs near full
+# speed from 128 rows up (measured at dimensions 1024 to 4096)
+_BLOCK_ROWS = 128
 
-def _pack_rows(rows: IntRows, limb_bytes: int) -> list[int]:
-    """Pack each row of signed ints into one big integer, base 2**(8*limb_bytes).
 
-    Requires |entry| < 2**(8*limb_bytes - 1); to_bytes raises otherwise.
+def int_array(rows) -> np.ndarray:
+    """Integer rows as an int64 array, or as an object array of Python ints
+    when some entry's magnitude does not fit in int64."""
+    try:
+        arr = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+    if arr.size and arr.min() == np.iinfo(np.int64).min:
+        return arr.astype(object)  # -2**63 has no int64 magnitude
+    return arr
+
+
+def _max_abs(x: np.ndarray) -> int:
+    return max(int(x.max()), -int(x.min())) if x.size else 0
+
+
+def _exact_float(b) -> np.ndarray | None:
+    """Integer rows or array b as float64 when every |entry| < 2**53 (so the
+    conversion is exact), else None."""
+    try:
+        f = np.array(b, dtype=np.float64)
+    except OverflowError:
+        return None
+    if _max_abs(f) >= _FLOAT_EXACT:
+        return None
+    return f
+
+
+def _max_row_sum(x: np.ndarray) -> int:
+    """max_i sum_k |x_ik| as a Python int, summed in Python ints where int64 could overflow."""
+    if not x.size:
+        return 0
+    mag = np.abs(x)
+    if mag.dtype != object and int(mag.max()) * x.shape[1] >= _INT64_LIMIT:
+        mag = mag.astype(object)
+    return int(mag.sum(axis=1).max())
+
+
+def _limbs(x: np.ndarray, width: int) -> list[np.ndarray]:
+    """Signed limbs of x in base 2**width: x == sum_t limbs[t] << (t * width), |limbs[t]| < 2**width."""
+    top = _max_abs(x)
+    if top >> width == 0:
+        return [x]
+    mag, neg = np.abs(x), x < 0
+    mask = (1 << width) - 1
+    limbs = []
+    for shift in range(0, top.bit_length(), width):
+        limb = ((mag >> shift) & mask).astype(np.int64)
+        np.negative(limb, out=limb, where=neg)
+        limbs.append(limb)
+    return limbs
+
+
+class _RightFactor:
+    """Right factor b of exact products, held as float64 limbs cut for the narrowest width asked.
+
+    ``b`` is a list of integer rows or an integer array; it is read again
+    only when narrower limbs are needed.
     """
-    bits = 8 * limb_bytes
-    off = 1 << (bits - 1)
-    n = len(rows[0])
-    unit = ((1 << (bits * n)) - 1) // ((1 << bits) - 1)  # 1 + B + ... + B**(n-1)
-    off_total = off * unit
-    packed = []
-    for row in rows:
-        data = b"".join((c + off).to_bytes(limb_bytes, "little") for c in row)
-        packed.append(int.from_bytes(data, "little") - off_total)
-    return packed
+
+    def __init__(self, b) -> None:
+        self.b = b
+        whole = _exact_float(b)
+        self.max_abs = _max_abs(int_array(b) if whole is None else whole)
+        self.width = max(self.max_abs.bit_length(), 1)
+        self._limbs: list[tuple[np.ndarray, int]] = [] if whole is None else [(whole, self.max_abs)]
+
+    def limbs(self, width: int) -> list[tuple[np.ndarray, int]]:
+        """(float64 limb, max |entry|) pairs in a base 2**w with w <= width.
+
+        Limbs narrower than asked still meet the caller's bound, so they are
+        cut again only when a narrower width is asked for.
+        """
+        width = min(width, max(self.max_abs.bit_length(), 1))
+        if not self._limbs or width < self.width:
+            self._limbs = []  # release the old limbs before making new ones
+            self._limbs = [
+                (v.astype(np.float64), _max_abs(v)) for v in _limbs(int_array(self.b), width)
+            ]
+            self.width = width
+        return self._limbs
 
 
-def _unpack_row(acc: int, limb_bytes: int, n: int) -> list[int]:
-    """Inverse of _pack_rows for a single packed value with n limbs."""
-    bits = 8 * limb_bytes
-    off = 1 << (bits - 1)
-    unit = ((1 << (bits * n)) - 1) // ((1 << bits) - 1)
-    data = (acc + off * unit).to_bytes(limb_bytes * n, "little")
-    return [
-        int.from_bytes(data[limb_bytes * i : limb_bytes * (i + 1)], "little") - off
-        for i in range(n)
-    ]
+def _block_product(a: np.ndarray, right: _RightFactor) -> np.ndarray:
+    """a @ b exactly, as int64, or as an object array of Python ints past int64.
+
+    Every float64 product runs only after its bound check: max row sum of
+    |a limb| times max |b limb| must stay below 2**53.
+    """
+    shape = (a.shape[0], len(right.b[0]))
+    ra, mb = _max_row_sum(a), right.max_abs
+    if ra == 0 or mb == 0:
+        return np.zeros(shape, dtype=np.int64)
+    if ra.bit_length() <= _ROW_SUM_BITS:
+        a_width, a_limbs = 0, [(a.astype(np.float64), ra)]
+    else:
+        # limb row sums stay below inner * 2**a_width <= 2**_ROW_SUM_BITS
+        a_width = max(1, _ROW_SUM_BITS - a.shape[1].bit_length())
+        a_limbs = [(v.astype(np.float64), _max_row_sum(v)) for v in _limbs(a, a_width)]
+    b_limbs = right.limbs(53 - max(s for _, s in a_limbs).bit_length())
+    wide = ra * mb >= _INT64_LIMIT  # |any partial sum of shifted limb products| <= ra * mb
+    acc = np.zeros(shape, dtype=object if wide else np.int64)
+    for s, (a_f, a_sum) in enumerate(a_limbs):
+        for t, (b_f, b_max) in enumerate(b_limbs):
+            if a_sum * b_max >= _FLOAT_EXACT:
+                raise ArithmeticError("a float64 limb product could round")
+            part = (a_f @ b_f).astype(np.int64)
+            if wide:
+                part = part.astype(object)
+            acc += part << (s * a_width + t * right.width)
+    return acc
 
 
-def _max_abs(rows: IntRows) -> int:
-    m = 0
-    for row in rows:
-        for v in row:
-            if v > m:
-                m = v
-            elif -v > m:
-                m = -v
-    return m
+def _row_blocks(a, right: _RightFactor) -> Iterator[tuple[int, np.ndarray]]:
+    """Exact products with b of a's rows, _BLOCK_ROWS at a time, each with its first row index.
+
+    ``a`` is a list of integer rows (converted one block at a time) or an integer array.
+    """
+    for start in range(0, len(a), _BLOCK_ROWS):
+        block = a[start : start + _BLOCK_ROWS]
+        yield start, _block_product(int_array(block) if isinstance(block, list) else block, right)
 
 
-def _limb_bytes_for(bound: int) -> int:
-    # one spare bit for the sign, one for safety
-    return (bound.bit_length() + 2 + 7) // 8
+def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b exactly for integer arrays: int64, or an object array of Python ints past int64."""
+    return np.concatenate([block for _, block in _row_blocks(a, _RightFactor(b))])
+
+
+def shift_down(x: np.ndarray, k: int) -> np.ndarray | None:
+    """x / 2**k for an integer array, or None unless every entry is divisible by 2**k."""
+    if k == 0:
+        return x
+    if x.dtype != object and k >= 63:
+        x = x.astype(object)
+    if np.any(x & ((1 << k) - 1)):
+        return None
+    return x >> k
 
 
 class DyadicMatrix:
@@ -87,17 +201,10 @@ class DyadicMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "DyadicMatrix":
-        return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)], 0)
-
-    @classmethod
-    def from_dyadic_rows(cls, rows: Sequence[Sequence[Dyadic]]) -> "DyadicMatrix":
-        exp = 0
-        for row in rows:
-            for d in row:
-                if d.exp > exp:
-                    exp = d.exp
-        ints = [[d.num << (exp - d.exp) for d in row] for row in rows]
-        return cls(ints, exp)
+        rows = [[0] * dim for _ in range(dim)]
+        for i, row in enumerate(rows):
+            row[i] = 1
+        return cls(rows, 0)
 
     # -- element access ------------------------------------------------------
 
@@ -143,9 +250,6 @@ class DyadicMatrix:
                     if g == 0:
                         return self.with_exp(self.exp)  # copy
         return self.with_exp(self.exp - g)
-
-    def max_abs_int(self) -> int:
-        return _max_abs(self.int_rows)
 
     # -- structure ops -------------------------------------------------------
 
@@ -197,51 +301,30 @@ class DyadicMatrix:
         """Exact matrix product."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        n = self.dim
-        b_max = other.max_abs_int()
-        # the limbs hold the packed factor's own entries as well as the product's
-        lb = _limb_bytes_for(max(self.max_abs_int() * b_max * n + 1, b_max))
-        packed = _pack_rows(other.int_rows, lb)
-        out = []
-        for arow in self.int_rows:
-            acc = 0
-            for k, a in enumerate(arow):
-                if a:
-                    acc += a * packed[k]
-            out.append(_unpack_row(acc, lb, n))
-        return DyadicMatrix(out, self.exp + other.exp)
+        right = _RightFactor(other.int_rows)
+        rows: IntRows = []
+        for _, block in _row_blocks(self.int_rows, right):
+            rows += block.tolist()
+        return DyadicMatrix(rows, self.exp + other.exp)
 
     def product_equals(self, other: "DyadicMatrix", expected: "DyadicMatrix") -> bool:
         """Check self @ other == expected without materializing the product."""
         if self.dim != other.dim or self.dim != expected.dim:
             return False
-        n = self.dim
         prod_exp = self.exp + other.exp
-        shift_e = prod_exp - expected.exp
-        if shift_e < 0:
+        shift = prod_exp - expected.exp
+        if shift < 0:
             # expected is on a finer scale; rescale it down if possible
             try:
                 expected = expected.with_exp(prod_exp)
             except ValueError:
                 return False
-            shift_e = 0
-        b_max = other.max_abs_int()
-        lb = _limb_bytes_for(
-            max(self.max_abs_int() * b_max * n + 1, b_max, expected.max_abs_int() << shift_e)
-        )
-        packed = _pack_rows(other.int_rows, lb)
-        want_rows = (
-            expected.int_rows
-            if shift_e == 0
-            else [[v << shift_e for v in row] for row in expected.int_rows]
-        )
-        want = _pack_rows(want_rows, lb)
-        for arow, w in zip(self.int_rows, want):
-            acc = 0
-            for k, a in enumerate(arow):
-                if a:
-                    acc += a * packed[k]
-            if acc != w:
+            shift = 0
+        want = expected.int_rows
+        right = _RightFactor(other.int_rows)
+        for start, block in _row_blocks(self.int_rows, right):
+            block = shift_down(block, shift)
+            if block is None or block.tolist() != want[start : start + len(block)]:
                 return False
         return True
 
@@ -253,19 +336,12 @@ class DyadicMatrix:
         """Exact matrix-vector product."""
         if len(vec) != self.dim:
             raise ValueError("dimension mismatch")
-        ve = 0
-        for d in vec:
-            if d.exp > ve:
-                ve = d.exp
+        ve = max((d.exp for d in vec), default=0)
         nums = [d.num << (ve - d.exp) for d in vec]
-        out = []
-        for row in self.int_rows:
-            s = 0
-            for a, b in zip(row, nums):
-                if a:
-                    s += a * b
-            out.append(Dyadic(s, self.exp + ve))
-        return out
+        e = self.exp + ve
+        # one pass over the rows in Python ints: converting the rows to an
+        # array for a float64 product would cost more than this pass
+        return [Dyadic(sum(map(mul, row, nums)), e) for row in self.int_rows]
 
 
 def reverse_vector(v: Sequence) -> list:

@@ -22,6 +22,7 @@ from .dyadic import Dyadic
 from .matrices import DyadicMatrix
 
 _DYADIC_RE = re.compile(r"^(-?\d+)/2\^(\d+)$")
+_PNG_BLOCK_BYTES = 1 << 20  # filtered image bytes handed to zlib at a time
 
 
 def format_dyadic(d: Dyadic) -> str:
@@ -31,18 +32,23 @@ def format_dyadic(d: Dyadic) -> str:
     return f"{d.num}/2^{d.exp}"
 
 
-def parse_dyadic(s: str) -> Dyadic:
-    """Inverse of format_dyadic; also accepts plain integers."""
+def _dyadic_parts(s: str) -> tuple[int, int]:
+    """(numerator, exponent) spelled by "a/2^e" or a plain integer, not yet normalized."""
     s = s.strip()
     if not s:
         raise ValueError("empty dyadic string")
     m = _DYADIC_RE.match(s)
     if m:
-        return Dyadic(int(m.group(1)), int(m.group(2)))
+        return int(m.group(1)), int(m.group(2))
     try:
-        return Dyadic(int(s), 0)
+        return int(s), 0
     except ValueError:
         raise ValueError(f"malformed dyadic string {s!r}") from None
+
+
+def parse_dyadic(s: str) -> Dyadic:
+    """Inverse of format_dyadic; also accepts plain integers."""
+    return Dyadic(*_dyadic_parts(s))
 
 
 Matrix = Union[ChannelMatrix, DyadicMatrix]
@@ -56,15 +62,43 @@ def matrix_csv_text(matrix: Matrix) -> str:
         data = matrix
         n = data.dim.bit_length() - 1
         s0 = "general"
+    exp = data.exp
+    cells = {0: "0"}  # integer entry -> its canonical cell, one Dyadic per distinct value
+
+    def cell(v: int) -> str:
+        text = cells.get(v)
+        if text is None:
+            text = cells[v] = format_dyadic(Dyadic(v, exp))
+        return text
+
     lines = [f"n={n},s0={s0},dim={data.dim}"]
-    for i in range(data.dim):
-        lines.append(",".join(format_dyadic(d) for d in data.row_dyadics(i)))
+    for row in data.int_rows:
+        lines.append(",".join(map(cell, row)))
     return "\n".join(lines) + "\n"
 
 
 def write_matrix_csv(matrix: Matrix, path: Union[str, Path]) -> None:
     """Serialize a matrix losslessly; round-trips through read_matrix_csv."""
     Path(path).write_text(matrix_csv_text(matrix), encoding="utf-8")
+
+
+def _parse_row(cells: list[str]) -> tuple[list[int], int]:
+    """Integer row and exponent e with cell j == row[j] / 2**e, e the largest
+    exponent of a cell in lowest terms (the scale Dyadic rows would share)."""
+    nums = [0] * len(cells)
+    parts = []
+    for j, c in enumerate(cells):
+        if c != "0":
+            num, e = _dyadic_parts(c)
+            if num:
+                if e and not num & 1:  # lowest terms, as a Dyadic stores it
+                    shift = min(e, (num & -num).bit_length() - 1)
+                    num, e = num >> shift, e - shift
+                parts.append((j, num, e))
+    row_exp = max((e for _, _, e in parts), default=0)
+    for j, num, e in parts:
+        nums[j] = num << (row_exp - e)
+    return nums, row_exp
 
 
 def read_matrix_csv(path: Union[str, Path]) -> Matrix:
@@ -89,16 +123,23 @@ def read_matrix_csv(path: Union[str, Path]) -> Matrix:
         raise ValueError(f"{p}: malformed header {lines[0]!r}") from exc
     if len(lines) - 1 != dim:
         raise ValueError(f"{p}: expected {dim} rows, found {len(lines) - 1}")
-    rows = []
+    rows: list[list[int]] = []
+    row_exps = []
     for ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != dim:
             raise ValueError(f"{p}: expected {dim} columns, found {len(cells)}")
         try:
-            rows.append([parse_dyadic(c) for c in cells])
+            row, row_exp = _parse_row(cells)
         except ValueError as exc:
             raise ValueError(f"{p}: {exc}") from None
-    data = DyadicMatrix.from_dyadic_rows(rows)
+        rows.append(row)
+        row_exps.append(row_exp)
+    exp = max(row_exps, default=0)
+    for i, row_exp in enumerate(row_exps):
+        if row_exp < exp:
+            rows[i] = [v << (exp - row_exp) for v in rows[i]]
+    data = DyadicMatrix(rows, exp)
     if s0_raw in ("0", "1"):
         matrix = ChannelMatrix(n, int(s0_raw), data)
         try:
@@ -150,13 +191,22 @@ def png_bytes(pixels: bytes, width: int, height: int) -> bytes:
         )
 
     ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
-    raw = b"".join(
-        b"\x00" + pixels[y * width : (y + 1) * width] for y in range(height)
-    )
+    # filtered rows (filter byte 0, then the pixels) go to the compressor a
+    # block at a time, so the whole filtered image is never held
+    deflate = zlib.compressobj(9)
+    step = max(1, _PNG_BLOCK_BYTES // (width + 1))
+    idat = []
+    for y0 in range(0, height, step):
+        block = b"".join(
+            b"\x00" + pixels[y * width : (y + 1) * width]
+            for y in range(y0, min(y0 + step, height))
+        )
+        idat.append(deflate.compress(block))
+    idat.append(deflate.flush())
     return (
         b"\x89PNG\r\n\x1a\n"
         + chunk(b"IHDR", ihdr)
-        + chunk(b"IDAT", zlib.compress(raw, 9))
+        + chunk(b"IDAT", b"".join(idat))
         + chunk(b"IEND", b"")
     )
 

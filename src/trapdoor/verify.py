@@ -158,7 +158,7 @@ def _check_bound_identities(ctx: _Context) -> str:
         assert prev < c_odd < bounds.closed_form(2), "odd bounds must increase toward the even value"
         prev = c_odd
     for n in range(1, min(ctx.max_n, bounds.config.bound_cap()) + 1):
-        b = bounds.upper_bound(n)
+        b = bounds.upper_bound(n, include_d=False)  # this check reads S and c_up only
         assert b.S == bounds.closed_form_S(n), f"recursive S differs at n={n}"
         assert abs(b.c_up - bounds.closed_form(n)) < 1e-14
     return "sum 2^w equals (5/2)^m even / (5/4)(5/2)^(m-1) odd, m <= 10; bounds match closed form"

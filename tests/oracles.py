@@ -3,7 +3,10 @@
 Everything here is deliberately naive and Fraction-based: channel matrices
 from the block recursion in plain Fractions, Gauss-Jordan inversion, direct
 entropy sums, a physical simulation of the ball process, and a double-loop
-mutual information.  None of it shares code with the package.
+mutual information.  None of it shares code with the package, except where a
+function says so.  The packed big-integer product and the list-backed
+inversion ladders are the package's former implementations, kept here as
+references for the float64 products and the array-backed ladders.
 """
 
 from __future__ import annotations
@@ -152,3 +155,133 @@ def render_pgm_lists(codes: list[list[int]], resolution: int, mode: str, gamma: 
             else:
                 pixels.append(round(255 * (0.5**m) ** gamma))
     return b"P5\n%d %d\n255\n" % (side, side) + bytes(pixels)
+
+
+def _pack_rows(rows: list[list[int]], limb_bytes: int) -> list[int]:
+    """Pack each row of signed ints into one big integer, base 2**(8*limb_bytes).
+
+    Requires |entry| < 2**(8*limb_bytes - 1); to_bytes raises otherwise.
+    """
+    bits = 8 * limb_bytes
+    off = 1 << (bits - 1)
+    n = len(rows[0])
+    unit = ((1 << (bits * n)) - 1) // ((1 << bits) - 1)  # 1 + B + ... + B**(n-1)
+    off_total = off * unit
+    packed = []
+    for row in rows:
+        data = b"".join((c + off).to_bytes(limb_bytes, "little") for c in row)
+        packed.append(int.from_bytes(data, "little") - off_total)
+    return packed
+
+
+def _unpack_row(acc: int, limb_bytes: int, n: int) -> list[int]:
+    """Inverse of _pack_rows for a single packed value with n limbs."""
+    bits = 8 * limb_bytes
+    off = 1 << (bits - 1)
+    unit = ((1 << (bits * n)) - 1) // ((1 << bits) - 1)
+    data = (acc + off * unit).to_bytes(limb_bytes * n, "little")
+    return [
+        int.from_bytes(data[limb_bytes * i : limb_bytes * (i + 1)], "little") - off
+        for i in range(n)
+    ]
+
+
+def _limb_bytes_for(bound: int) -> int:
+    # one spare bit for the sign, one for safety
+    return (bound.bit_length() + 2 + 7) // 8
+
+
+def packed_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Exact product of square integer rows: each row of b packed into one big integer."""
+    n = len(a)
+    a_max = max(abs(v) for row in a for v in row)
+    b_max = max(abs(v) for row in b for v in row)
+    # the limbs hold the packed factor's own entries as well as the product's
+    lb = _limb_bytes_for(max(a_max * b_max * n + 1, b_max))
+    packed = _pack_rows(b, lb)
+    out = []
+    for arow in a:
+        acc = 0
+        for k, v in enumerate(arow):
+            if v:
+                acc += v * packed[k]
+        out.append(_unpack_row(acc, lb, n))
+    return out
+
+
+def _exact_halvings(rows: list[list[int]], k: int) -> list[list[int]]:
+    """rows / 2**k entrywise; raises ValueError unless every entry is divisible."""
+    if any(v & ((1 << k) - 1) for row in rows for v in row):
+        raise ValueError(f"entries not divisible by 2^{k}")
+    return [[v >> k for v in row] for row in rows]
+
+
+def invert_ladder_lists(n: int, s0: int) -> list[list[int]]:
+    """Integer rows of P(n, s0)^-1 by the one-step block formula on lists and packed products.
+
+    Reuses the package's `channel._int_ladder` for the rows of P(k, s).
+    """
+    from trapdoor.channel import _int_ladder
+
+    ladder = _int_ladder(max(n - 1, 0))
+    inv = [[1]]
+    for k in range(1, n + 1):
+        mid = ladder[k - 1][1 - s0]  # scaled by 2**(k-1)
+        corner = _exact_halvings(packed_matmul(packed_matmul(inv, mid), inv), k - 1)
+        zeros = [0] * (1 << (k - 1))
+        if s0 == 0:
+            new = [r + zeros for r in inv]
+            new += [[-v for v in cr] + [v << 1 for v in ir] for cr, ir in zip(corner, inv)]
+        else:
+            new = [[v << 1 for v in ir] + [-v for v in cr] for ir, cr in zip(inv, corner)]
+            new += [zeros + r for r in inv]
+        inv = new
+    return inv
+
+
+def invert_two_step_lists(n: int, s0: int) -> list[list[int]]:
+    """Integer rows of P(n, s0)^-1, even n, by the four-block recursion on lists.
+
+    Reuses the package's `channel._int_ladder` for the rows of P(k, s).
+    """
+    from trapdoor.channel import _int_ladder
+
+    ladder = _int_ladder(max(n - 2, 0))
+    iv = [[1]]
+    for k in range(2, n + 1, 2):
+        quarter = 1 << (k - 2)
+        mid = ladder[k - 2][1 - s0]  # scaled by 2**(k-2)
+        m = _exact_halvings(packed_matmul(packed_matmul(iv, mid), iv), k - 2)
+        f = _exact_halvings(packed_matmul(packed_matmul(m, mid), iv), k - 2)
+        zeros = [0] * quarter
+        new = []
+        if s0 == 0:
+            for r in range(quarter):
+                new.append(iv[r] + zeros + zeros + zeros)
+            for r in range(quarter):
+                new.append([-v for v in m[r]] + [v << 1 for v in iv[r]] + zeros + zeros)
+            for r in range(quarter):
+                new.append(zeros + [-v for v in iv[r]] + [v << 1 for v in iv[r]] + zeros)
+            for r in range(quarter):
+                new.append(
+                    [v << 1 for v in f[r]]
+                    + [-3 * v for v in m[r]]
+                    + [-(v << 1) for v in m[r]]
+                    + [v << 2 for v in iv[r]]
+                )
+        else:
+            for r in range(quarter):
+                new.append(
+                    [v << 2 for v in iv[r]]
+                    + [-(v << 1) for v in m[r]]
+                    + [-3 * v for v in m[r]]
+                    + [v << 1 for v in f[r]]
+                )
+            for r in range(quarter):
+                new.append(zeros + [v << 1 for v in iv[r]] + [-v for v in iv[r]] + zeros)
+            for r in range(quarter):
+                new.append(zeros + zeros + [v << 1 for v in iv[r]] + [-v for v in m[r]])
+            for r in range(quarter):
+                new.append(zeros + zeros + zeros + iv[r])
+        iv = new
+    return iv

@@ -1,7 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import channel_fractions, gauss_jordan_inverse
+from oracles import (
+    channel_fractions,
+    gauss_jordan_inverse,
+    invert_ladder_lists,
+    invert_two_step_lists,
+)
 from trapdoor.channel import (
     build_channel_matrix,
     disjoint_support_check,
@@ -100,6 +105,22 @@ def test_inverse_identity_and_row_sums(n, s0, pairs, inverses):
 @pytest.mark.parametrize("s0", (0, 1))
 def test_two_step_inverse_agrees(n, s0, inverses):
     assert invert_two_step(n, s0) == inverses(n, s0)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+@pytest.mark.parametrize("s0", (0, 1))
+def test_inverses_equal_list_ladders(n, s0, inverses):
+    assert inverses(n, s0) == DyadicMatrix(invert_ladder_lists(n, s0), 0)
+    if n % 2 == 0:
+        assert invert_two_step(n, s0) == DyadicMatrix(invert_two_step_lists(n, s0), 0)
+
+
+@pytest.mark.parametrize("delta", (-1, 1))
+def test_identity_check_rejects_one_changed_entry(delta, pairs, inverses):
+    P, inv = pairs(10)[0], inverses(10, 0)
+    rows = [list(row) for row in inv.int_rows]
+    rows[700][300] += delta
+    assert not P.data.product_is_identity(DyadicMatrix(rows, inv.exp))
 
 
 def test_two_step_rejects_odd():

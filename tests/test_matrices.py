@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import _pack_rows, _unpack_row
 from trapdoor.dyadic import Dyadic
-from trapdoor.matrices import DyadicMatrix, _pack_rows, _unpack_row
+from trapdoor.matrices import DyadicMatrix
 
 
 def naive_matmul(a, b):
@@ -109,3 +110,65 @@ def test_identity_detection():
 def test_non_square_rejected():
     with pytest.raises(ValueError):
         DyadicMatrix([[1, 2, 3], [4, 5, 6]], 0)
+
+
+# Magnitudes clustered where the exact product changes route: small entries
+# and 2^26 fit one float64 product in small dimensions, 2^53 needs limbs of the
+# right factor, 2^63 and 2^70 need limbs of both factors and Python-int sums;
+# 0 gives all-zero factors.
+_MAGNITUDE_BITS = st.sampled_from([0, 3, 26, 53, 63, 70])
+
+
+def _entries(bits):
+    if bits == 0:
+        return st.just(0)
+    near = st.integers(min_value=(1 << bits) - (1 << (bits // 2)), max_value=min(1 << bits, 1 << 70))
+    magnitude = st.one_of(st.just(0), st.integers(min_value=0, max_value=1 << bits), near)
+    return st.tuples(magnitude, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+def _rows(n, bits):
+    row = st.lists(_entries(bits), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), st.integers(min_value=1, max_value=40), _MAGNITUDE_BITS, _MAGNITUDE_BITS,
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+def test_exact_product_matches_naive(data, n, a_bits, b_bits, a_exp, b_exp):
+    a = DyadicMatrix(data.draw(_rows(n, a_bits)), a_exp)
+    b = DyadicMatrix(data.draw(_rows(n, b_bits)), b_exp)
+    want = naive_matmul(a, b)
+    assert a.matmul(b) == want
+    assert a.product_equals(b, want)
+    off = [list(row) for row in want.int_rows]
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    off[i][j] += data.draw(st.sampled_from([-1, 1]))
+    assert not a.product_equals(b, DyadicMatrix(off, want.exp))
+    assert a.product_is_identity(b) == want.is_identity()
+    col = data.draw(st.integers(0, n - 1))
+    vec = [Dyadic(row[col], b.exp) for row in b.int_rows]
+    assert a.matvec(vec) == [Dyadic(row[col], want.exp) for row in want.int_rows]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), st.integers(min_value=1, max_value=40), _MAGNITUDE_BITS,
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+def test_product_is_identity_on_inverse_pairs(data, n, bits, a_exp, b_exp):
+    # (I + N)(I - N) == I when N lives in the top-right block, since then N @ N == 0
+    h = data.draw(st.integers(min_value=0, max_value=n))
+    top_right = data.draw(st.lists(st.lists(_entries(bits), min_size=n - h, max_size=n - h),
+                                   min_size=h, max_size=h))
+
+    def factor(sign, exp):
+        rows = [[(1 << exp) if i == j else 0 for j in range(n)] for i in range(n)]
+        for i in range(h):
+            rows[i][h:] = [sign * (v << exp) for v in top_right[i]]
+        return rows
+
+    a, b = DyadicMatrix(factor(1, a_exp), a_exp), factor(-1, b_exp)
+    assert a.product_is_identity(DyadicMatrix(b, b_exp))
+    assert a.matmul(DyadicMatrix(b, b_exp)).is_identity()
+    if h and n > h:
+        b[0][n - 1] += 1
+        assert not a.product_is_identity(DyadicMatrix(b, b_exp))
