@@ -70,7 +70,8 @@ class OmegaVector:
     def __post_init__(self) -> None:
         if len(self.entries) != 1 << self.n:
             raise ValueError("length must be 2**n")
-        if any(e > 0 or e % 2 for e in self.entries):
+        # a weight vector holds at most n/2 + 2 distinct values
+        if any(e > 0 or e % 2 for e in set(self.entries)):
             raise ValueError("entries must be even and non-positive")
         anchor = 0 if self.s0 == 0 else len(self.entries) - 1
         if self.entries[anchor] != 0:

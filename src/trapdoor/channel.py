@@ -17,7 +17,9 @@ formula applied recursively, entirely in exact integer arithmetic.
 
 from __future__ import annotations
 
-from typing import Union
+from collections import deque
+from itertools import islice
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -81,11 +83,15 @@ class ChannelMatrix:
         return f"ChannelMatrix(n={self.n}, s0={self.s0})"
 
 
-def _int_ladder(n: int) -> list[tuple[IntRows, IntRows]]:
-    """Scaled integer rows of (P(k,0), P(k,1)) for k = 0..n; level k is scaled by 2**k."""
+def _int_ladder(n: int) -> Iterator[tuple[IntRows, IntRows]]:
+    """Scaled integer rows of (P(k,0), P(k,1)) for k = 0..n; level k is scaled by 2**k.
+
+    Yields one level at a time and keeps only the one it builds the next
+    from, so at most two levels are alive while a caller walks the ladder.
+    """
     rows0: IntRows = [[1]]
     rows1: IntRows = [[1]]
-    ladder = [(rows0, rows1)]
+    yield rows0, rows1
     for k in range(1, n + 1):
         half = 1 << (k - 1)
         zeros = [0] * half
@@ -94,8 +100,12 @@ def _int_ladder(n: int) -> list[tuple[IntRows, IntRows]]:
         new1 = [r1 + r0 for r1, r0 in zip(rows1, rows0)]
         new1 += [zeros + [v << 1 for v in r] for r in rows1]
         rows0, rows1 = new0, new1
-        ladder.append((rows0, rows1))
-    return ladder
+        yield rows0, rows1
+
+
+def _top_level(n: int) -> tuple[IntRows, IntRows]:
+    """Level n of the ladder: the scaled rows of (P(n,0), P(n,1))."""
+    return deque(_int_ladder(n), maxlen=1)[0]
 
 
 def build_channel_matrix(n: int, s0: int, cap: int | None = None) -> ChannelMatrix:
@@ -110,7 +120,7 @@ def build_channel_matrix(n: int, s0: int, cap: int | None = None) -> ChannelMatr
             f"block length {n} exceeds the cap {limit} (storage is 4**n entries; "
             f"override with {config.MATRIX_CAP_ENV})"
         )
-    rows = _int_ladder(n)[n][s0]
+    rows = _top_level(n)[s0]
     return ChannelMatrix(n, s0, DyadicMatrix(rows, n))
 
 
@@ -124,7 +134,7 @@ def channel_pair(n: int, cap: int | None = None) -> tuple[ChannelMatrix, Channel
             f"block length {n} exceeds the cap {limit} (storage is 4**n entries; "
             f"override with {config.MATRIX_CAP_ENV})"
         )
-    rows0, rows1 = _int_ladder(n)[n]
+    rows0, rows1 = _top_level(n)
     return (
         ChannelMatrix(n, 0, DyadicMatrix(rows0, n)),
         ChannelMatrix(n, 1, DyadicMatrix(rows1, n)),
@@ -180,7 +190,9 @@ def _invert_ladder(n: int, s0: int) -> DyadicMatrix:
     inv = np.ones((1, 1), dtype=np.int64)
     for k in range(1, n + 1):
         # P(k-1, 1) for state 0 and P(k-1, 0) for state 1, scaled by 2**(k-1)
-        corner = _corner(inv, ladder[k - 1][1 - s0], inv, k - 1)
+        corner = _corner(inv, next(ladder)[1 - s0], inv, k - 1)
+        if k == n:
+            ladder.close()  # drop the last level before the full-size blocks
         inv, corner = _widen(inv), _widen(corner)
         zeros = np.zeros_like(inv)
         if s0 == 0:
@@ -215,11 +227,11 @@ def invert_two_step(n: int, s0: int, cap: int | None = None) -> DyadicMatrix:
         )
     if n == 0:
         return DyadicMatrix([[1]], 0)
-    ladder = _int_ladder(n - 2)
+    levels = islice(_int_ladder(n - 2), 0, None, 2)
     inv = np.ones((1, 1), dtype=np.int64)
     for k in range(2, n + 1, 2):
         # P(k-2, 1) for state 0 and P(k-2, 0) for state 1, scaled by 2**(k-2)
-        mid = ladder[k - 2][1 - s0]
+        mid = next(levels)[1 - s0]
         m = _corner(inv, mid, inv, k - 2)
         f = _corner(m, mid, inv, k - 2)
         iv, m, f = _widen(inv), _widen(m), _widen(f)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: matrix, enumerate, entropy, omega, bound, ba, fractal,
-sierpinski, verify.  Exit codes: 0 success, 1 verification failure, 2 usage
+sierpinski, verify.  Exit codes: 0 success, 1 verification failure (an
+internal assertion, arithmetic or convergence failure included), 2 usage
 error (a request too large for memory included), 130 interrupted (Ctrl-C).
 Default initial state is 0 everywhere; the state-1 paths are exercised by
 `verify` through the exchange symmetries.
@@ -297,6 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
+    except (AssertionError, ArithmeticError, optimize.ConvergenceError) as exc:
+        # an internal check or computation failed: a failure, not a usage error
+        sys.stderr.write(f"error: {args.command}: {type(exc).__name__}: {exc}\n")
+        return CHECK_FAILED
     except MemoryError:
         sys.stderr.write(f"error: {args.command}: the requested size did not fit in memory\n")
         return USAGE_ERROR

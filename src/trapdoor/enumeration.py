@@ -3,14 +3,32 @@
 The channel at each step holds one ball (the state) and receives one ball
 (the input bit).  If they are equal the output is forced; if they differ the
 receiver draws one of the two uniformly, the drawn label is emitted, and the
-other ball becomes the new state.  Walking this branching process over an
-input string yields every feasible output with a likelihood that is an exact
-power of 1/2.  Expanding the result to a dense vector reproduces one row of
-the channel matrix, which the test suite checks exhaustively.
+other ball becomes the new state.  The paper characterises the channel by an
+algorithm that generates every feasible output of an input, much like the
+recursion that generates all permutations of a string: each unequal step
+branches into "emit the input, keep the state" and "emit the state, adopt
+the input", halving the likelihood on both branches.
+
+generate_outputs makes the same choices as that recursion, but level by
+level instead of depth first, the way all permutations of a string can be
+grown one position at a time for every prefix at once.  After each input
+bit it holds, for each of the two balls that can be left in the box, the
+list of output prefixes whose paths leave that ball there, and beside it
+how often each path halved its likelihood.  For input bit x, the prefixes
+that left x in the box all gain x (a forced step).  Those that left the
+other ball s all branch: with x appended they keep s in the box, with s
+appended they leave x, and both carry one more halving.  So one input bit
+costs four list comprehensions over the frontier instead of one Python
+call per path, and at the end each prefix is a feasible output of
+likelihood 2**-halvings, with one shared Dyadic per number of halvings.
+Expanding the result to a dense vector reproduces one row of the channel
+matrix, which the test suite checks exhaustively; the former depth-first
+recursion is kept in the tests as the reference.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import config
@@ -41,14 +59,17 @@ class OutputDistribution:
         # integer arithmetic on (num, exp): a power of 1/2 is num = 1 once
         # Dyadic has normalized it, and the sum is taken over 2**top
         n = len(self.input)
-        top = 0
-        for y, p in self.outputs.items():
-            if len(y) != n:
-                raise ValueError("output length must match input length")
-            if p.num != 1:
-                raise ValueError(f"likelihood {p} is not a positive power of 1/2")
-            top = max(top, p.exp)
-        total = sum(1 << (top - p.exp) for p in self.outputs.values())
+        values = self.outputs.values()
+        if set(map(len, self.outputs)) - {n} or {p.num for p in values} - {1}:
+            # name the first offending entry, length before likelihood
+            for y, p in self.outputs.items():
+                if len(y) != n:
+                    raise ValueError("output length must match input length")
+                if p.num != 1:
+                    raise ValueError(f"likelihood {p} is not a positive power of 1/2")
+        exps = Counter([p.exp for p in values])
+        top = max(exps, default=0)
+        total = sum(count << (top - e) for e, count in exps.items())
         if total != 1 << top:
             raise ValueError(f"likelihoods sum to {Dyadic(total, top)}, expected 1")
 
@@ -77,7 +98,8 @@ def generate_outputs(bits: str, s0: int, cap: int | None = None) -> OutputDistri
     Equal input/state steps extend the output with probability unchanged;
     unequal steps branch, halving the probability: one branch emits the input
     bit and keeps the state, the other emits the old state and adopts the
-    input bit as the new state.
+    input bit as the new state.  Each step is taken for all prefixes that
+    leave the same ball in the box at once (see the module docstring).
     """
     _check_bits(bits, "input")
     _check_state(s0)
@@ -87,35 +109,28 @@ def generate_outputs(bits: str, s0: int, cap: int | None = None) -> OutputDistri
             f"input length {len(bits)} exceeds the cap {limit} (worst-case support "
             f"is 2**n; override with {config.INPUT_CAP_ENV})"
         )
-    # distinctness of outputs across paths is provable; the accumulator still
-    # merges by summation and the merge flag turns that proof into a runtime check
-    acc: dict[str, Dyadic] = {}
-    merged = False
-
-    def walk(pos: int, out: list[str], state: str, halvings: int) -> None:
-        nonlocal merged
-        if pos == len(bits):
-            y = "".join(out)
-            if y in acc:
-                merged = True
-                acc[y] = acc[y] + Dyadic(1, halvings)
-            else:
-                acc[y] = Dyadic(1, halvings)
-            return
-        x = bits[pos]
-        if x == state:
-            out.append(x)
-            walk(pos + 1, out, state, halvings)
-            out.pop()
-        else:
-            out.append(x)
-            walk(pos + 1, out, state, halvings + 1)
-            out[-1] = state
-            walk(pos + 1, out, x, halvings + 1)
-            out.pop()
-
-    walk(0, [], str(s0), 0)
-    if merged:
+    # frontier[s] = (prefixes, halvings): the output prefixes whose paths
+    # leave ball s in the box, and how often each path halved its likelihood
+    frontier = {"0": ([], []), "1": ([], [])}
+    frontier[str(s0)] = ([""], [0])
+    for x in bits:
+        other = "1" if x == "0" else "0"
+        (same, h_same), (diff, h_diff) = frontier[x], frontier[other]
+        grown = [p + x for p in same]
+        if diff:
+            h_diff = [h + 1 for h in h_diff]
+            grown += [p + other for p in diff]
+            h_same += h_diff
+            frontier[other] = ([p + x for p in diff], h_diff)
+        frontier[x] = (grown, h_same)
+    (outputs, halvings), (more, h_more) = frontier["0"], frontier["1"]
+    outputs += more
+    halvings += h_more
+    likelihood = {h: Dyadic(1, h) for h in set(halvings)}
+    acc = dict(zip(outputs, map(likelihood.__getitem__, halvings)))
+    # distinctness of outputs across paths is provable; comparing the merged
+    # keys with the path count turns that proof into a runtime check
+    if len(acc) != len(halvings):
         raise AssertionError(
             "two recursion paths produced the same output string; "
             "outputs are expected to be pairwise distinct"

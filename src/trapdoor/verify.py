@@ -1,11 +1,12 @@
 """One-shot verification suite: every cross-module identity, with named checks.
 
 Each check returns quietly or raises AssertionError with a description; the
-runner collects (name, ok, detail) tuples for the CLI.  The suite covers the
-recursion-vs-definition oracles, the exchange symmetries, the exact bound
-identities, the enumeration/matrix cross-check, the fractal equivalences,
-the pre-normalized optimizer closed forms, and the numerical simplex
-certification.
+runner collects (name, ok, detail) tuples for the CLI, and also records a
+ConvergenceError or ArithmeticError raised inside a check as a failed check
+that carries the message.  The suite covers the recursion-vs-definition
+oracles, the exchange symmetries, the exact bound identities, the
+enumeration/matrix cross-check, the fractal equivalences, the pre-normalized
+optimizer closed forms, and the numerical simplex certification.
 
 The second-to-last optimizer entry follows the closed form -3*2**(n-3) at
 even lengths; at odd lengths >= 3 the exact value is -3*2**(n-5) (the block
@@ -295,6 +296,9 @@ def run_checks(max_n: int = 8, names: Iterable[str] | None = None) -> list[Check
             ok = True
         except AssertionError as exc:
             detail = str(exc) or "assertion failed"
+            ok = False
+        except (optimize.ConvergenceError, ArithmeticError) as exc:
+            detail = f"{type(exc).__name__}: {exc}"
             ok = False
         results.append(CheckResult(name, ok, detail, time.perf_counter() - start))
     return results

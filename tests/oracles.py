@@ -4,9 +4,10 @@ Everything here is deliberately naive and Fraction-based: channel matrices
 from the block recursion in plain Fractions, Gauss-Jordan inversion, direct
 entropy sums, a physical simulation of the ball process, and a double-loop
 mutual information.  None of it shares code with the package, except where a
-function says so.  The packed big-integer product and the list-backed
-inversion ladders are the package's former implementations, kept here as
-references for the float64 products and the array-backed ladders.
+function says so.  The packed big-integer product, the list-backed
+inversion ladders and the depth-first output enumeration are the package's
+former implementations, kept here as references for the float64 products,
+the array-backed ladders and the level-wise enumeration.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def invert_ladder_lists(n: int, s0: int) -> list[list[int]]:
     """
     from trapdoor.channel import _int_ladder
 
-    ladder = _int_ladder(max(n - 1, 0))
+    ladder = list(_int_ladder(max(n - 1, 0)))
     inv = [[1]]
     for k in range(1, n + 1):
         mid = ladder[k - 1][1 - s0]  # scaled by 2**(k-1)
@@ -246,7 +247,7 @@ def invert_two_step_lists(n: int, s0: int) -> list[list[int]]:
     """
     from trapdoor.channel import _int_ladder
 
-    ladder = _int_ladder(max(n - 2, 0))
+    ladder = list(_int_ladder(max(n - 2, 0)))
     iv = [[1]]
     for k in range(2, n + 1, 2):
         quarter = 1 << (k - 2)
@@ -285,3 +286,35 @@ def invert_two_step_lists(n: int, s0: int) -> list[list[int]]:
                 new.append(zeros + zeros + zeros + iv[r])
         iv = new
     return iv
+
+
+def generate_outputs_dfs(bits: str, s0: int) -> dict:
+    """Feasible outputs and their Dyadic likelihoods by depth-first recursion.
+
+    The package's former enumeration: one call per step of each output path,
+    one Dyadic per output, merging repeated outputs by summation.  Kept as the
+    reference for the level-wise frontier of generate_outputs.
+    """
+    from trapdoor.dyadic import Dyadic
+
+    acc: dict = {}
+
+    def walk(pos: int, out: list[str], state: str, halvings: int) -> None:
+        if pos == len(bits):
+            y = "".join(out)
+            acc[y] = acc[y] + Dyadic(1, halvings) if y in acc else Dyadic(1, halvings)
+            return
+        x = bits[pos]
+        if x == state:
+            out.append(x)
+            walk(pos + 1, out, state, halvings)
+            out.pop()
+        else:
+            out.append(x)
+            walk(pos + 1, out, state, halvings + 1)
+            out[-1] = state
+            walk(pos + 1, out, x, halvings + 1)
+            out.pop()
+
+    walk(0, [], str(s0), 0)
+    return acc

@@ -140,6 +140,22 @@ def test_omega_vector_validation():
     OmegaVector(1, 1, [-2, 0])
 
 
+@pytest.mark.parametrize(
+    "s0, last, message",
+    [
+        (0, 2, "entries must be even and non-positive"),
+        (0, -3, "entries must be even and non-positive"),
+        (1, -2, "the all-s0 input must carry weight 0"),
+        (0, -2, "even-length weight vectors must be palindromic"),
+    ],
+)
+def test_omega_vector_validation_messages_at_n16(s0, last, message):
+    # a 2^16-entry vector whose only bad entry is the last one
+    entries = [0] * ((1 << 16) - 1) + [last]
+    with pytest.raises(ValueError, match=message):
+        OmegaVector(16, s0, entries)
+
+
 def test_omega_mismatch_rejected(pairs):
     P = pairs(2)[0]
     h1 = entropy_vector_direct(pairs(2)[1])

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from trapdoor import fractal
+from trapdoor import bounds, enumeration, fractal, optimize, verify
 from trapdoor.cli import main
 from trapdoor.serialization import read_matrix_csv
 
@@ -136,6 +137,55 @@ def test_out_of_memory_is_usage_error(monkeypatch, capsys):
     code, out, err = run(capsys, "fractal", "--resolution", "3")
     assert code == 2
     assert err.startswith("error: ") and "did not fit in memory" in err
+    assert "Traceback" not in out + err
+
+
+def _not_converged(P, tol=1e-10, max_iter=200_000, **kwargs):
+    p = np.full(P.dim, 1.0 / P.dim)
+    return optimize.OptimizationReport(P.n, P.s0, 0.5, max_iter, 1.0, p, tol=tol)
+
+
+def _no_exact_weights(*args, **kwargs):
+    raise ArithmeticError("corner block is not divisible by 2^3")
+
+
+def test_run_checks_records_internal_failures(monkeypatch):
+    monkeypatch.setattr(optimize, "blahut_arimoto", _not_converged)
+    monkeypatch.setattr(bounds, "omega_direct", _no_exact_weights)
+    results = verify.run_checks(2, ["weight recursions", "simplex certification"])
+    assert [(r.name, r.ok) for r in results] == [
+        ("weight recursions", False),
+        ("simplex certification", False),
+    ]
+    assert results[0].detail == "ArithmeticError: corner block is not divisible by 2^3"
+    assert results[1].detail.startswith("ConvergenceError: bracket 1.000e+00 > tol 1.000e-08")
+
+
+def test_verify_reports_non_convergence_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(optimize, "blahut_arimoto", _not_converged)
+    code, out, err = run(capsys, "verify", "--max-n", "2")
+    assert code == 1
+    assert "FAIL simplex certification" in out and "ConvergenceError: bracket" in out
+    assert "13/14 checks passed" in out
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "command, target, failure",
+    [
+        (("omega", "-n", "2"), (bounds, "omega_direct"), ArithmeticError("inexact")),
+        (("enumerate", "-i", "101"), (enumeration, "generate_outputs"), AssertionError("merged")),
+        (("bound", "-n", "2"), (bounds, "upper_bound"), optimize.ConvergenceError("bracket")),
+    ],
+)
+def test_internal_failure_exits_1(monkeypatch, capsys, command, target, failure):
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(*target, fail)
+    code, out, err = run(capsys, *command)
+    assert code == 1
+    assert err == f"error: {command[0]}: {type(failure).__name__}: {failure}\n"
     assert "Traceback" not in out + err
 
 

@@ -3,7 +3,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import simulate_outputs
+from oracles import generate_outputs_dfs, simulate_outputs
+from trapdoor.config import DEFAULT_INPUT_CAP
 from trapdoor.dyadic import Dyadic
 from trapdoor.enumeration import (
     channel_row_from_enumeration,
@@ -74,6 +75,26 @@ def test_likelihoods_sum_to_one_and_are_halving_powers(case):
         total = total + p
     assert total == 1
     assert len(dist.outputs) <= 1 << len(bits)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.sampled_from("01"), min_size=1, max_size=16).map("".join),
+    st.integers(min_value=0, max_value=1),
+)
+def test_matches_depth_first_recursion(bits, s0):
+    assert generate_outputs(bits, s0).outputs == generate_outputs_dfs(bits, s0)
+
+
+def test_alternating_input_at_the_cap():
+    bits = "10" * 12
+    assert len(bits) == DEFAULT_INPUT_CAP
+    dist = generate_outputs(bits, 0)
+    assert len(dist.outputs) == 121393  # Fibonacci(26): the support of an alternating input
+    total = Dyadic(0)
+    for p in dist.outputs.values():
+        total = total + p
+    assert total == 1
 
 
 @pytest.mark.parametrize("n", (11, 12))
