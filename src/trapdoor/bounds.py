@@ -38,7 +38,7 @@ from typing import Sequence
 from . import config
 from .channel import ChannelMatrix, build_channel_matrix, invert_channel_matrix
 from .dyadic import Dyadic
-from .matrices import DyadicMatrix, reverse_vector
+from .matrices import DyadicMatrix, exact_product, reverse_vector
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class EntropyVector:
     def __post_init__(self) -> None:
         if len(self.entries) != 1 << self.n:
             raise ValueError("length must be 2**n")
-        anchor = 0 if self.s0 == 0 else len(self.entries) - 1
+        anchor = -config.check_state(self.s0)  # the all-s0 input: first entry or last
         if self.entries[anchor] != 0:
             raise ValueError("the all-s0 input must have zero conditional entropy")
         if any(e < 0 or e > self.n for e in self.entries):
@@ -73,7 +73,7 @@ class OmegaVector:
         # a weight vector holds at most n/2 + 2 distinct values
         if any(e > 0 or e % 2 for e in set(self.entries)):
             raise ValueError("entries must be even and non-positive")
-        anchor = 0 if self.s0 == 0 else len(self.entries) - 1
+        anchor = -config.check_state(self.s0)  # the all-s0 input: first entry or last
         if self.entries[anchor] != 0:
             raise ValueError("the all-s0 input must carry weight 0")
         if self.n % 2 == 0 and self.entries != self.entries[::-1]:
@@ -105,6 +105,8 @@ class BoundResult:
 
 # -- conditional entropy vectors ---------------------------------------------
 
+_VECTOR_COST = "the vector has 2**{n} entries; closed_form(n) needs no cap"
+
 
 def entropy_vector_direct(P: ChannelMatrix) -> EntropyVector:
     """h from the definition: row-wise -sum p*log2(p) with 0*log(0) = 0.
@@ -125,19 +127,13 @@ def entropy_vector_direct(P: ChannelMatrix) -> EntropyVector:
     return EntropyVector(P.n, P.s0, out)
 
 
-def _h_step(h: list[Dyadic]) -> list[Dyadic]:
-    rev = h[::-1]
-    half = Dyadic(1, 1)
-    return list(h) + [half * a + half * b + 1 for a, b in zip(h, rev)]
-
-
 def entropy_vector_recursive_step(n: int) -> EntropyVector:
     """h(n, 0) by the one-step block recursion h -> [h, h/2 + rev(h)/2 + 1]."""
-    if n < 0:
-        raise ValueError("block length must be non-negative")
+    config.check_cap(n, config.BOUND_CAP_ENV, _VECTOR_COST)
     h: list[Dyadic] = [Dyadic(0)]
+    half = Dyadic(1, 1)
     for _ in range(n):
-        h = _h_step(h)
+        h = h + [half * a + half * b + 1 for a, b in zip(h, h[::-1])]
     return EntropyVector(n, 0, h)
 
 
@@ -149,7 +145,8 @@ def entropy_vector_recursive_even(n: int) -> EntropyVector:
     with r the reversal of h.  The 3/2 constants are pinned by the direct
     definition at n = 2 (fourth entry 3/2).
     """
-    if n < 0 or n % 2:
+    config.check_cap(n, config.BOUND_CAP_ENV, _VECTOR_COST)
+    if n % 2:
         raise ValueError("the four-block recursion covers even lengths only")
     h: list[Dyadic] = [Dyadic(0)]
     half = Dyadic(1, 1)
@@ -202,8 +199,7 @@ def omega_recursive(n: int) -> OmegaVector:
     Even lengths double as [w, w - 2, w - 2, w] from w(0) = [0]; odd lengths
     double as [w, rev(w), w - 2, rev(w) - 2] from w(1) = [0, -2].
     """
-    if n < 0:
-        raise ValueError("block length must be non-negative")
+    config.check_cap(n, config.BOUND_CAP_ENV, _VECTOR_COST)
     if n % 2 == 0:
         w = [0]
         for _ in range(n // 2):
@@ -246,9 +242,7 @@ def _log2_dyadic(S: Dyadic) -> float:
 D_AUTO_LIMIT = 10
 
 
-def upper_bound(
-    n: int, s0: int = 0, cap: int | None = None, include_d: bool | None = None
-) -> BoundResult:
+def upper_bound(n: int, s0: int = 0, include_d: bool | None = None) -> BoundResult:
     """Bound for block length n: exact S = sum 2**w_i and c_up = log2(S)/n.
 
     The weight vector comes from the block recursions, so this works up to
@@ -258,17 +252,12 @@ def upper_bound(
     """
     if n < 1:
         raise ValueError("block length must be at least 1")
-    limit = config.bound_cap() if cap is None else cap
-    if n > limit:
-        raise ValueError(
-            f"block length {n} exceeds the cap {limit} (the weight vector has 2**n "
-            f"entries; override with {config.BOUND_CAP_ENV}); use closed_form(n) instead"
-        )
+    s0 = config.check_state(s0)
     w = omega_recursive(n) if s0 == 0 else omega_state1(n)
     S = exp2_sum(w.entries)
     c_up = _log2_dyadic(S) / n
     if include_d is None:
-        include_d = n <= min(D_AUTO_LIMIT, config.matrix_cap())
+        include_d = n <= min(D_AUTO_LIMIT, config.cap(config.MATRIX_CAP_ENV))
     d = None
     neg = None
     if include_d:
@@ -305,13 +294,15 @@ def d_vector(n: int, s0: int = 0, inverse: DyadicMatrix | None = None) -> list[D
     Sums to S, so d / S sums to one.  Negative entries flag that the relaxed
     optimum is not a probability distribution.
     """
-    if n < 0:
-        raise ValueError("block length must be non-negative")
+    s0 = config.check_state(s0)
+    w = omega_recursive(n) if s0 == 0 else omega_state1(n)
     if inverse is None:
         inverse = invert_channel_matrix(build_channel_matrix(n, s0))
-    w = omega_recursive(n) if s0 == 0 else omega_state1(n)
-    x = [Dyadic.pow2(v) for v in w.entries]
-    return inverse.transpose().matvec(x)
+    # d_j = sum_i 2**w_i inv_ij: one row vector times the inverse's integer rows
+    top = -min(w.entries)
+    x = [[1 << (v + top) for v in w.entries]]
+    e = top + inverse.exp
+    return [Dyadic(v, e) for v in exact_product(x, inverse.int_rows)[0].tolist()]
 
 
 def constraint_check(
@@ -326,8 +317,11 @@ def constraint_check(
     sum_i p_int[i] * P.data.int_rows[i][j] decides, since both scales are
     positive.  Non-finite entries raise ValueError.
     """
+    s0 = config.check_state(s0)
     if P is None:
         P = build_channel_matrix(n, s0)
+    elif (P.n, P.s0) != (n, s0):
+        raise ValueError(f"channel matrix is P({P.n}, {P.s0}), expected P({n}, {s0})")
     if len(p) != P.dim:
         raise ValueError("distribution length must be 2**n")
     pf = []

@@ -34,12 +34,10 @@ class ChannelMatrix:
     __slots__ = ("n", "s0", "data")
 
     def __init__(self, n: int, s0: int, data: DyadicMatrix) -> None:
-        if s0 not in (0, 1):
-            raise ValueError("initial state must be 0 or 1")
         if data.dim != 1 << n:
             raise ValueError(f"expected dimension {1 << n}, got {data.dim}")
         self.n = n
-        self.s0 = s0
+        self.s0 = config.check_state(s0)
         self.data = data
 
     @property
@@ -54,9 +52,7 @@ class ChannelMatrix:
 
     def row_index(self, bits: str) -> int:
         """0-based row index of an input bit string."""
-        if len(bits) != self.n or (bits and set(bits) - {"0", "1"}):
-            raise ValueError(f"expected a length-{self.n} bit string, got {bits!r}")
-        return int(bits, 2) if bits else 0
+        return int(config.check_bits(bits, "input", self.n) or "0", 2)
 
     def float_rows(self) -> list[list[float]]:
         scale = float(1 << self.data.exp)
@@ -103,38 +99,19 @@ def _int_ladder(n: int) -> Iterator[tuple[IntRows, IntRows]]:
         yield rows0, rows1
 
 
-def _top_level(n: int) -> tuple[IntRows, IntRows]:
-    """Level n of the ladder: the scaled rows of (P(n,0), P(n,1))."""
-    return deque(_int_ladder(n), maxlen=1)[0]
+_MATRIX_COST = "storage is 4**{n} entries"
 
 
-def build_channel_matrix(n: int, s0: int, cap: int | None = None) -> ChannelMatrix:
+def build_channel_matrix(n: int, s0: int) -> ChannelMatrix:
     """Build P(n, s0) by n applications of the block recursion."""
-    if n < 0:
-        raise ValueError("block length must be non-negative")
-    if s0 not in (0, 1):
-        raise ValueError("initial state must be 0 or 1")
-    limit = config.matrix_cap() if cap is None else cap
-    if n > limit:
-        raise ValueError(
-            f"block length {n} exceeds the cap {limit} (storage is 4**n entries; "
-            f"override with {config.MATRIX_CAP_ENV})"
-        )
-    rows = _top_level(n)[s0]
-    return ChannelMatrix(n, s0, DyadicMatrix(rows, n))
+    s0 = config.check_state(s0)
+    return channel_pair(n)[s0]
 
 
-def channel_pair(n: int, cap: int | None = None) -> tuple[ChannelMatrix, ChannelMatrix]:
+def channel_pair(n: int) -> tuple[ChannelMatrix, ChannelMatrix]:
     """Both P(n, 0) and P(n, 1) from one pass of the recursion."""
-    limit = config.matrix_cap() if cap is None else cap
-    if n < 0:
-        raise ValueError("block length must be non-negative")
-    if n > limit:
-        raise ValueError(
-            f"block length {n} exceeds the cap {limit} (storage is 4**n entries; "
-            f"override with {config.MATRIX_CAP_ENV})"
-        )
-    rows0, rows1 = _top_level(n)
+    config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
+    rows0, rows1 = deque(_int_ladder(n), maxlen=1)[0]  # the top level only
     return (
         ChannelMatrix(n, 0, DyadicMatrix(rows0, n)),
         ChannelMatrix(n, 1, DyadicMatrix(rows1, n)),
@@ -208,23 +185,17 @@ def invert_channel_matrix(P: ChannelMatrix) -> DyadicMatrix:
     return _invert_ladder(P.n, P.s0)
 
 
-def invert_two_step(n: int, s0: int, cap: int | None = None) -> DyadicMatrix:
+def invert_two_step(n: int, s0: int) -> DyadicMatrix:
     """Inverse of P(n, s0) for even n via the four-block recursion.
 
     Builds the inverse two levels at a time from the corner products
     M0 = P(2k,0)^-1 P(2k,1) P(2k,0)^-1 (state 0) or the mirrored M1.  This is
     an independent route kept as a cross-check against the one-step formula.
     """
-    if n < 0 or n % 2:
-        raise ValueError("two-step inversion needs an even non-negative block length")
-    if s0 not in (0, 1):
-        raise ValueError("initial state must be 0 or 1")
-    limit = config.matrix_cap() if cap is None else cap
-    if n > limit:
-        raise ValueError(
-            f"block length {n} exceeds the cap {limit} "
-            f"(override with {config.MATRIX_CAP_ENV})"
-        )
+    s0 = config.check_state(s0)
+    config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
+    if n % 2:
+        raise ValueError("two-step inversion needs an even block length")
     if n == 0:
         return DyadicMatrix([[1]], 0)
     levels = islice(_int_ladder(n - 2), 0, None, 2)

@@ -143,9 +143,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_entropy(args: argparse.Namespace) -> int:
     P = build_channel_matrix(args.n, args.s)
     direct = bounds.entropy_vector_direct(P)
-    rec = bounds.entropy_vector_recursive_step(args.n)
-    rec_entries = rec.entries if args.s == 0 else list(reversed(rec.entries))
-    agree = direct.entries == rec_entries
+    rec = bounds.entropy_vector_recursive_step(args.n) if args.s == 0 else bounds.entropy_state1(args.n)
+    agree = direct.entries == rec.entries
     if args.format == "json":
         _emit(
             serialization.dumps_json(
@@ -224,17 +223,6 @@ def _cmd_ba(args: argparse.Namespace) -> int:
     return 0 if report.converged else CHECK_FAILED
 
 
-def _check_resolution(k: int) -> None:
-    limit = config.matrix_cap()
-    if k < 0:
-        raise ValueError("resolution must be non-negative")
-    if k > limit:
-        raise ValueError(
-            f"resolution {k} exceeds the cap {limit} (its grid alone takes 4**{k} bytes "
-            f"= {4**k / 2**30:.3g} GiB at one byte per cell; override with {config.MATRIX_CAP_ENV})"
-        )
-
-
 def _render_to_file(grid, args: argparse.Namespace, default_name: str) -> None:
     pgm = fractal.render_pgm(grid, mode=args.mode, gamma=args.gamma)
     out = args.o
@@ -251,14 +239,12 @@ def _render_to_file(grid, args: argparse.Namespace, default_name: str) -> None:
 
 
 def _cmd_fractal(args: argparse.Namespace) -> int:
-    _check_resolution(args.resolution)
     grid = fractal.ifs_iterate(fractal.trapdoor_ifs(args.s), fractal.unit_grid(), args.resolution)
     _render_to_file(grid, args, f"trapdoor_s{args.s}_k{args.resolution}")
     return 0
 
 
 def _cmd_sierpinski(args: argparse.Namespace) -> int:
-    _check_resolution(args.resolution)
     grid = fractal.ifs_iterate(fractal.sierpinski_ifs(), fractal.unit_grid(), args.resolution)
     _render_to_file(grid, args, f"sierpinski_k{args.resolution}")
     return 0

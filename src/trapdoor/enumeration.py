@@ -35,18 +35,6 @@ from . import config
 from .dyadic import Dyadic
 
 
-def _check_bits(s: str, what: str) -> None:
-    if not s:
-        raise ValueError(f"{what} must be non-empty")
-    if set(s) - {"0", "1"}:
-        raise ValueError(f"{what} must be a string over 0/1, got {s!r}")
-
-
-def _check_state(s0: int) -> None:
-    if s0 not in (0, 1):
-        raise ValueError("initial state must be 0 or 1")
-
-
 @dataclass(frozen=True)
 class OutputDistribution:
     """Exact conditional distribution of output strings for one input and state."""
@@ -92,7 +80,7 @@ class OutputDistribution:
         }
 
 
-def generate_outputs(bits: str, s0: int, cap: int | None = None) -> OutputDistribution:
+def generate_outputs(bits: str, s0: int) -> OutputDistribution:
     """All feasible outputs for the given input string and initial state.
 
     Equal input/state steps extend the output with probability unchanged;
@@ -101,14 +89,9 @@ def generate_outputs(bits: str, s0: int, cap: int | None = None) -> OutputDistri
     input bit as the new state.  Each step is taken for all prefixes that
     leave the same ball in the box at once (see the module docstring).
     """
-    _check_bits(bits, "input")
-    _check_state(s0)
-    limit = config.input_cap() if cap is None else cap
-    if len(bits) > limit:
-        raise ValueError(
-            f"input length {len(bits)} exceeds the cap {limit} (worst-case support "
-            f"is 2**n; override with {config.INPUT_CAP_ENV})"
-        )
+    config.check_bits(bits)
+    s0 = config.check_state(s0)
+    config.check_cap(len(bits), config.INPUT_CAP_ENV, "worst-case support is 2**{n}", "input length")
     # frontier[s] = (prefixes, halvings): the output prefixes whose paths
     # leave ball s in the box, and how often each path halved its likelihood
     frontier = {"0": ([], []), "1": ([], [])}
@@ -144,8 +127,7 @@ def channel_row_from_enumeration(n: int, s0: int, bits: str) -> list[Dyadic]:
     Equals the corresponding row of the channel matrix built by the block
     recursion (cross-checked exhaustively in the tests).
     """
-    if len(bits) != n:
-        raise ValueError(f"input length {len(bits)} does not match n={n}")
+    config.check_bits(bits, "input", n)
     dist = generate_outputs(bits, s0)
     row = [Dyadic(0)] * (1 << n)
     for y, p in dist.outputs.items():
@@ -160,12 +142,9 @@ def feasibility(bits: str, output: str, s0: int) -> Dyadic:
     differ, the emitted symbol identifies the drawn ball, so no branching is
     needed.  Independent of generate_outputs and cross-checked against it.
     """
-    _check_bits(bits, "input")
-    _check_state(s0)
-    if len(output) != len(bits):
-        raise ValueError("input and output must have equal length")
-    _check_bits(output, "output")
-    state = str(s0)
+    config.check_bits(bits)
+    config.check_bits(output, "output", len(bits))
+    state = str(config.check_state(s0))
     halvings = 0
     for x, y in zip(bits, output):
         if x == state:
@@ -173,10 +152,6 @@ def feasibility(bits: str, output: str, s0: int) -> Dyadic:
                 return Dyadic(0)
         else:
             halvings += 1
-            if y == x:
-                pass  # state ball stays in the box
-            elif y == state:
+            if y != x:  # the state ball was drawn, so the input ball stays
                 state = x
-            else:  # unreachable for binary alphabets
-                return Dyadic(0)
     return Dyadic(1, halvings)

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import config
 from .channel import ChannelMatrix
 from .dyadic import Dyadic
 
@@ -228,7 +229,7 @@ def trapdoor_ifs(s0: int) -> Ifs:
     State 1 is the 180-degree conjugate of state 0.
     """
     h = Fraction(1, 2)
-    if s0 == 0:
+    if config.check_state(s0) == 0:
         return Ifs(
             (
                 AffineMap3.from_rows([[h, 0, 0], [0, h, 0], [0, 0, h]], [h, 0, 0]),
@@ -236,15 +237,13 @@ def trapdoor_ifs(s0: int) -> Ifs:
                 AffineMap3.from_rows([[-h, 0, 0], [0, -h, 0], [0, 0, h]], [h, h, 0]),
             )
         )
-    if s0 == 1:
-        return Ifs(
-            (
-                AffineMap3.from_rows([[h, 0, 0], [0, h, 0], [0, 0, 1]], [h, 0, 0]),
-                AffineMap3.from_rows([[h, 0, 0], [0, h, 0], [0, 0, h]], [0, h, 0]),
-                AffineMap3.from_rows([[-h, 0, 0], [0, -h, 0], [0, 0, h]], [1, 1, 0]),
-            )
+    return Ifs(
+        (
+            AffineMap3.from_rows([[h, 0, 0], [0, h, 0], [0, 0, 1]], [h, 0, 0]),
+            AffineMap3.from_rows([[h, 0, 0], [0, h, 0], [0, 0, h]], [0, h, 0]),
+            AffineMap3.from_rows([[-h, 0, 0], [0, -h, 0], [0, 0, h]], [1, 1, 0]),
         )
-    raise ValueError("initial state must be 0 or 1")
+    )
 
 
 def sierpinski_ifs() -> Ifs:
@@ -345,6 +344,9 @@ def ifs_iterate(ifs: Ifs, initial: ShapeGrid, k: int) -> ShapeGrid:
     """
     if k < 0:
         raise ValueError("iteration count must be non-negative")
+    config.check_cap(
+        initial.resolution + k, config.MATRIX_CAP_ENV, "its grid alone takes 4**{n} bytes", "resolution"
+    )
     grid = initial
     for _ in range(k):
         res, src = grid.resolution, grid.array

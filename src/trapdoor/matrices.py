@@ -253,9 +253,6 @@ class DyadicMatrix:
 
     # -- structure ops -------------------------------------------------------
 
-    def transpose(self) -> "DyadicMatrix":
-        return DyadicMatrix([list(col) for col in zip(*self.int_rows)], self.exp)
-
     def reversed_conjugate(self) -> "DyadicMatrix":
         """Entry (i, j) moved to (dim-1-i, dim-1-j): conjugation by the exchange matrix."""
         return DyadicMatrix([row[::-1] for row in self.int_rows[::-1]], self.exp)

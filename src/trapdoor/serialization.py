@@ -220,14 +220,9 @@ def pgm_to_png(pgm: bytes) -> bytes:
     return png_bytes(memoryview(pgm)[m.end() :], w, h)  # no copy of the pixels
 
 
-def write_png(pgm_or_pixels: bytes, path: Union[str, Path], width: int | None = None, height: int | None = None) -> None:
-    """Write a PNG either from P5 bytes or from a raw buffer plus dimensions."""
-    if width is None:
-        data = pgm_to_png(pgm_or_pixels)
-    else:
-        if height is None:
-            height = width
-        data = png_bytes(pgm_or_pixels, width, height)
+def write_png(pgm: bytes, path: Union[str, Path]) -> None:
+    """Write P5 bytes as a PNG file (png_bytes encodes a raw buffer)."""
+    data = pgm_to_png(pgm)
     try:
         Path(path).write_bytes(data)
     except OSError as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from . import bounds, enumeration, fractal, optimize
+from . import bounds, config, enumeration, fractal, optimize
 from .channel import (
     ChannelMatrix,
     channel_pair,
@@ -149,20 +149,21 @@ def _check_state_coupling_identity(ctx: _Context) -> str:
 
 
 def _check_bound_identities(ctx: _Context) -> str:
+    top = min(20, config.cap(config.BOUND_CAP_ENV))  # the weight vectors have 2^n entries
     prev = 0.0
-    for m in range(1, 11):
-        even = bounds.exp2_sum(bounds.omega_recursive(2 * m).entries)
-        assert even == Dyadic(5**m, m), f"even-length sum differs at m={m}"
-        odd = bounds.exp2_sum(bounds.omega_recursive(2 * m - 1).entries)
-        assert odd == Dyadic(5**m, m + 1), f"odd-length sum differs at m={m}"
-        c_odd = bounds.closed_form(2 * m - 1)
-        assert prev < c_odd < bounds.closed_form(2), "odd bounds must increase toward the even value"
-        prev = c_odd
-    for n in range(1, min(ctx.max_n, bounds.config.bound_cap()) + 1):
+    for n in range(1, top + 1):
+        m = (n + 1) // 2
+        s = bounds.exp2_sum(bounds.omega_recursive(n).entries)
+        assert s == Dyadic(5**m, m + n % 2), f"sum 2^w differs from the closed form at n={n}"
+        if n % 2:
+            c_odd = bounds.closed_form(n)
+            assert prev < c_odd < bounds.closed_form(2), "odd bounds must increase toward the even value"
+            prev = c_odd
+    for n in range(1, min(ctx.max_n, top) + 1):
         b = bounds.upper_bound(n, include_d=False)  # this check reads S and c_up only
         assert b.S == bounds.closed_form_S(n), f"recursive S differs at n={n}"
         assert abs(b.c_up - bounds.closed_form(n)) < 1e-14
-    return "sum 2^w equals (5/2)^m even / (5/4)(5/2)^(m-1) odd, m <= 10; bounds match closed form"
+    return f"sum 2^w equals (5/2)^m even / (5/4)(5/2)^(m-1) odd, n <= {top}; bounds match closed form"
 
 
 def _check_d_vector(ctx: _Context) -> str:
@@ -176,10 +177,7 @@ def _check_d_vector(ctx: _Context) -> str:
     for n in range(2, ctx.max_n + 1):
         d = bounds.d_vector(n, 0, inverse=ctx.inverse(n, 0))
         S = bounds.closed_form_S(n)
-        total = Dyadic(0)
-        for v in d:
-            total = total + v
-        assert total == S, f"sum of d differs from S at n={n}"
+        assert sum(d, Dyadic(0)) == S, f"sum of d differs from S at n={n}"
         second_last = d[-2]
         assert second_last < 0, f"d[2^n-1] should be negative at n={n}"
         if n % 2 == 0:

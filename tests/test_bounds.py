@@ -30,6 +30,7 @@ from trapdoor.bounds import (
 )
 from trapdoor.channel import reverse_vector
 from trapdoor.dyadic import Dyadic
+from trapdoor.matrices import DyadicMatrix
 
 Z = Dyadic(0)
 ONE = Dyadic(1)
@@ -216,14 +217,6 @@ def test_odd_bounds_increase_to_even_value():
         prev = c
 
 
-def test_upper_bound_cap(monkeypatch):
-    with pytest.raises(ValueError, match="cap"):
-        upper_bound(21)
-    monkeypatch.setenv("TRAPDOOR_BOUND_CAP", "5")
-    with pytest.raises(ValueError, match="cap"):
-        upper_bound(6)
-
-
 def test_upper_bound_beyond_matrix_cap_has_no_d(monkeypatch):
     monkeypatch.setenv("TRAPDOOR_MATRIX_CAP", "3")
     b = upper_bound(4)
@@ -344,3 +337,14 @@ def test_state_coupling_identity_even_lengths(n, pairs, inverses):
     P1 = pairs(n)[1]
     h0 = entropy_vector_direct(pairs(n)[0]).entries
     assert P1.data.matvec(inverses(n, 0).matvec(h0)) == reverse_vector(h0)
+
+
+def test_d_vector_equals_transposed_inverse_times_weights(inverses):
+    # d = (P^-1)^T 2^w, here from an explicitly transposed inverse
+    for n in range(0, 7):
+        for s0 in (0, 1):
+            inv = inverses(n, s0)
+            w = omega_recursive(n) if s0 == 0 else omega_state1(n)
+            transposed = DyadicMatrix([list(col) for col in zip(*inv.int_rows)], inv.exp)
+            expect = transposed.matvec([Dyadic.pow2(v) for v in w.entries])
+            assert d_vector(n, s0, inverse=inv) == expect

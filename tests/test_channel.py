@@ -64,17 +64,6 @@ def test_rows_stochastic_and_dyadic(n, s0, pairs):
             assert v == 0 or (1 << n) % v == 0  # entry is 2^-j with j <= n
 
 
-def test_cap_guard(monkeypatch):
-    with pytest.raises(ValueError, match="cap"):
-        build_channel_matrix(15, 0)
-    monkeypatch.setenv("TRAPDOOR_MATRIX_CAP", "3")
-    with pytest.raises(ValueError, match="cap"):
-        build_channel_matrix(4, 0)
-    monkeypatch.setenv("TRAPDOOR_MATRIX_CAP", "junk")
-    with pytest.raises(ValueError):
-        build_channel_matrix(2, 0)
-
-
 def test_invert_small_cases():
     assert invert_channel_matrix(build_channel_matrix(1, 0)) == DyadicMatrix(
         [[1, 0], [-1, 2]], 0

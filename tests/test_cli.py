@@ -220,3 +220,21 @@ def test_resolution_cap_states_the_grid_bytes(monkeypatch, capsys):
     code, _, err = run(capsys, "sierpinski", "--resolution", "5")
     assert code == 2
     assert "4**5 bytes" in err and "cap 4" in err
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["matrix", "-n", "16", "--inverse", "--two-step"], "TRAPDOOR_MATRIX_CAP"),
+        (["bound", "-n", "21"], "TRAPDOOR_BOUND_CAP"),
+        (["enumerate", "-i", "0" * 25], "TRAPDOOR_INPUT_CAP"),
+        (["sierpinski", "--resolution", "15"], "TRAPDOOR_MATRIX_CAP"),
+    ],
+    ids=["two-step", "bound", "enumerate", "sierpinski"],
+)
+def test_cap_errors_exit_2(argv, env, monkeypatch, capsys):
+    monkeypatch.delenv(env, raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "exceeds the cap" in err and env in err
+    assert "Traceback" not in out + err

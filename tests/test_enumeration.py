@@ -48,13 +48,6 @@ def test_input_validation():
         generate_outputs("01", 2)
 
 
-def test_input_cap(monkeypatch):
-    monkeypatch.setenv("TRAPDOOR_INPUT_CAP", "4")
-    with pytest.raises(ValueError, match="cap"):
-        generate_outputs("01010", 0)
-    assert generate_outputs("0101", 0)
-
-
 @settings(deadline=None)
 @given(bit_strings)
 def test_matches_simulation_oracle(case):
