@@ -32,7 +32,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from . import config
@@ -250,8 +249,7 @@ def upper_bound(n: int, s0: int = 0, include_d: bool | None = None) -> BoundResu
     for n <= D_AUTO_LIMIT; pass include_d=True to force it (matrix cap
     permitting) or False to skip it.
     """
-    if n < 1:
-        raise ValueError("block length must be at least 1")
+    config.check_per_letter(n)
     s0 = config.check_state(s0)
     w = omega_recursive(n) if s0 == 0 else omega_state1(n)
     S = exp2_sum(w.entries)
@@ -268,8 +266,7 @@ def upper_bound(n: int, s0: int = 0, include_d: bool | None = None) -> BoundResu
 
 def closed_form_S(n: int) -> Dyadic:
     """Exact S for any block length: (5/2)**(n/2) for even n, (5/4)(5/2)**((n-1)/2) odd."""
-    if n < 1:
-        raise ValueError("block length must be at least 1")
+    config.check_per_letter(n)
     if n % 2 == 0:
         m = n // 2
         return Dyadic(5**m, m)
@@ -280,8 +277,7 @@ def closed_form_S(n: int) -> Dyadic:
 def closed_form(n: int) -> float:
     """The bound as a float for any n: log2(5/2)/2 at even lengths, and
     (log2(5/4) + (m-1) log2(5/2)) / (2m-1) at odd lengths."""
-    if n < 1:
-        raise ValueError("block length must be at least 1")
+    config.check_per_letter(n)
     if n % 2 == 0:
         return math.log2(2.5) / 2
     m = (n + 1) // 2
@@ -305,17 +301,32 @@ def d_vector(n: int, s0: int = 0, inverse: DyadicMatrix | None = None) -> list[D
     return [Dyadic(v, e) for v in exact_product(x, inverse.int_rows)[0].tolist()]
 
 
+def _exact_distribution(p: Sequence) -> tuple[list[Fraction], list[int]]:
+    """p as exact Fractions, and as integers p_int = p * lcm of the denominators.
+
+    Entries may be ints, Fractions, Dyadics, or floats (floats are dyadic, so
+    the conversion is lossless).  Non-finite entries raise ValueError.
+    """
+    pf = []
+    for i, v in enumerate(p):
+        try:
+            pf.append(v.as_fraction() if isinstance(v, Dyadic) else Fraction(v))
+        except (OverflowError, ValueError):
+            raise ValueError(f"distribution entry {i} is {v}, not a finite number") from None
+    scale = math.lcm(*(f.denominator for f in pf))
+    return pf, [f.numerator * (scale // f.denominator) for f in pf]
+
+
 def constraint_check(
     n: int, s0: int, p: Sequence, P: ChannelMatrix | None = None
 ) -> bool:
     """True iff every output mass (P^T p)_j is non-negative.
 
     Entries of p may be ints, Fractions, Dyadics, or floats, of any sign.
-    The test is exact and integer-only: each entry becomes a Fraction (floats
-    are dyadic, so that is lossless), p is scaled by the lcm of the
-    denominators to integers p_int, and the sign of each column sum
-    sum_i p_int[i] * P.data.int_rows[i][j] decides, since both scales are
-    positive.  Non-finite entries raise ValueError.
+    The test is exact and integer-only: p is scaled by the lcm of its
+    denominators to integers p_int, and the sign of each entry of the exact
+    product p_int @ P.data.int_rows decides, since both scales are positive.
+    Non-finite entries raise ValueError.
     """
     s0 = config.check_state(s0)
     if P is None:
@@ -324,15 +335,8 @@ def constraint_check(
         raise ValueError(f"channel matrix is P({P.n}, {P.s0}), expected P({n}, {s0})")
     if len(p) != P.dim:
         raise ValueError("distribution length must be 2**n")
-    pf = []
-    for i, v in enumerate(p):
-        try:
-            pf.append(v.as_fraction() if isinstance(v, Dyadic) else Fraction(v))
-        except (OverflowError, ValueError):
-            raise ValueError(f"distribution entry {i} is {v}, not a finite number") from None
-    scale = math.lcm(*(f.denominator for f in pf))
-    p_int = [f.numerator * (scale // f.denominator) for f in pf]
-    return all(sum(map(mul, p_int, col)) >= 0 for col in zip(*P.data.int_rows))
+    _, p_int = _exact_distribution(p)
+    return bool((exact_product([p_int], P.data.int_rows) >= 0).all())
 
 
 def golden_ratio_reference() -> float:

@@ -188,9 +188,11 @@ def invert_channel_matrix(P: ChannelMatrix) -> DyadicMatrix:
 def invert_two_step(n: int, s0: int) -> DyadicMatrix:
     """Inverse of P(n, s0) for even n via the four-block recursion.
 
-    Builds the inverse two levels at a time from the corner products
-    M0 = P(2k,0)^-1 P(2k,1) P(2k,0)^-1 (state 0) or the mirrored M1.  This is
-    an independent route kept as a cross-check against the one-step formula.
+    Builds the inverse of P(n, 0) two levels at a time from the corner
+    product M0 = P(2k,0)^-1 P(2k,1) P(2k,0)^-1.  P(n, 1) = J P(n, 0) J with J
+    the exchange matrix, so state 1 assembles the last level's block grid
+    exchange-reversed.  This is an independent route kept as a cross-check
+    against the one-step formula, which computes each state on its own.
     """
     s0 = config.check_state(s0)
     config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
@@ -201,26 +203,19 @@ def invert_two_step(n: int, s0: int) -> DyadicMatrix:
     levels = islice(_int_ladder(n - 2), 0, None, 2)
     inv = np.ones((1, 1), dtype=np.int64)
     for k in range(2, n + 1, 2):
-        # P(k-2, 1) for state 0 and P(k-2, 0) for state 1, scaled by 2**(k-2)
-        mid = next(levels)[1 - s0]
+        mid = next(levels)[1]  # P(k-2, 1), scaled by 2**(k-2)
         m = _corner(inv, mid, inv, k - 2)
         f = _corner(m, mid, inv, k - 2)
         iv, m, f = _widen(inv), _widen(m), _widen(f)
         z = np.zeros_like(iv)
-        if s0 == 0:
-            grid = [
-                [iv, z, z, z],
-                [-m, 2 * iv, z, z],
-                [z, -iv, 2 * iv, z],
-                [2 * f, -3 * m, -2 * m, 4 * iv],
-            ]
-        else:
-            grid = [
-                [4 * iv, -2 * m, -3 * m, 2 * f],
-                [z, 2 * iv, -iv, z],
-                [z, z, 2 * iv, -m],
-                [z, z, z, iv],
-            ]
+        grid = [
+            [iv, z, z, z],
+            [-m, 2 * iv, z, z],
+            [z, -iv, 2 * iv, z],
+            [2 * f, -3 * m, -2 * m, 4 * iv],
+        ]
+        if k == n and s0 == 1:  # J grid J, as views
+            grid = [[b[::-1, ::-1] for b in row[::-1]] for row in grid[::-1]]
         inv = _assemble(grid, k == n)
     return DyadicMatrix(inv, 0)
 

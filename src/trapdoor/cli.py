@@ -22,6 +22,9 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
+# default output file of each image command, without its suffix
+_IMAGE_NAMES = {"fractal": "trapdoor_s{s}_k{resolution}", "sierpinski": "sierpinski_k{resolution}"}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -38,11 +41,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, n: bool = True, state: bool = True) -> None:
-        if n:
-            p.add_argument("-n", type=int, required=True, help="block length")
-        if state:
-            p.add_argument("-s", type=int, default=0, choices=(0, 1), help="initial state (default 0)")
+    def add_state(p: argparse.ArgumentParser) -> None:
+        p.add_argument("-s", type=int, default=0, choices=(0, 1), help="initial state (default 0)")
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("-n", type=int, required=True, help="block length")
+        add_state(p)
         p.add_argument("-o", metavar="PATH", default=None, help="output file (default: stdout)")
 
     p = sub.add_parser("matrix", help="channel matrix or its exact inverse")
@@ -53,21 +57,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="feasible outputs and exact likelihoods")
     p.add_argument("-i", metavar="BITS", required=True, help="input bit string")
-    p.add_argument("-s", type=int, default=0, choices=(0, 1), help="initial state (default 0)")
+    add_state(p)
     p.add_argument("-o", metavar="PATH", default=None)
     p.add_argument("--format", choices=("json", "text"), default="text")
 
-    p = sub.add_parser("entropy", help="conditional entropy vector, direct vs recursive")
-    add_common(p)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-
-    p = sub.add_parser("omega", help="weight vector, direct vs recursive")
-    add_common(p)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-
-    p = sub.add_parser("bound", help="exact S and the capacity upper bound")
-    add_common(p)
-    p.add_argument("--format", choices=("json", "text"), default="text")
+    for name, text in (
+        ("entropy", "conditional entropy vector, direct vs recursive"),
+        ("omega", "weight vector, direct vs recursive"),
+        ("bound", "exact S and the capacity upper bound"),
+    ):
+        p = sub.add_parser(name, help=text)
+        add_common(p)
+        p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("ba", help="simplex capacity via Blahut-Arimoto")
     add_common(p)
@@ -75,20 +76,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=200_000)
     p.add_argument("--format", choices=("json", "text"), default="text")
 
-    p = sub.add_parser("fractal", help="render the channel attractor approximant")
-    p.add_argument("--resolution", type=int, required=True, help="number of iterations")
-    p.add_argument("-s", type=int, default=0, choices=(0, 1))
-    p.add_argument("--mode", choices=("linear", "log", "binary"), default="log")
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("-o", metavar="PATH", default=None, help="output image (default: fractal.pgm)")
-    p.add_argument("--format", choices=("pgm", "png"), default=None, help="default: from file suffix")
+    def add_render(name: str, text: str, mode: str, state: bool) -> None:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--resolution", type=int, required=True, help="number of iterations")
+        if state:
+            add_state(p)
+        p.add_argument("--mode", choices=("linear", "log", "binary"), default=mode)
+        p.add_argument("--gamma", type=float, default=1.0)
+        default = f"{_IMAGE_NAMES[name]}.pgm, or .png with --format png"
+        p.add_argument("-o", metavar="PATH", default=None, help=f"output image (default: {default})")
+        p.add_argument("--format", choices=("pgm", "png"), default=None, help="default: from file suffix")
 
-    p = sub.add_parser("sierpinski", help="render the Sierpinski iterate")
-    p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--mode", choices=("linear", "log", "binary"), default="binary")
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("-o", metavar="PATH", default=None, help="output image (default: sierpinski.pgm)")
-    p.add_argument("--format", choices=("pgm", "png"), default=None)
+    add_render("fractal", "render the channel attractor approximant", "log", state=True)
+    add_render("sierpinski", "render the Sierpinski iterate", "binary", state=False)
 
     p = sub.add_parser("verify", help="run the cross-module invariant suite")
     p.add_argument("--max-n", type=int, default=8, help="largest block length checked (default 8)")
@@ -140,49 +140,23 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_entropy(args: argparse.Namespace) -> int:
+def _cmd_vector(args: argparse.Namespace) -> int:
+    """entropy and omega: the vector from P, checked against the block recursion."""
     P = build_channel_matrix(args.n, args.s)
-    direct = bounds.entropy_vector_direct(P)
-    rec = bounds.entropy_vector_recursive_step(args.n) if args.s == 0 else bounds.entropy_state1(args.n)
-    agree = direct.entries == rec.entries
-    if args.format == "json":
-        _emit(
-            serialization.dumps_json(
-                {
-                    "n": args.n,
-                    "s0": args.s,
-                    "entries": [serialization.format_dyadic(d) for d in direct.entries],
-                    "recursion_agrees": agree,
-                }
-            ),
-            args.o,
-        )
+    vec = bounds.entropy_vector_direct(P)
+    if args.command == "entropy":
+        name = "h"
+        recursion = bounds.entropy_vector_recursive_step if args.s == 0 else bounds.entropy_state1
     else:
-        vec = "  ".join(str(d) for d in direct.entries)
-        _emit(f"h(n={args.n}, s0={args.s}) = [{vec}]\nrecursion agrees: {agree}", args.o)
-    return 0 if agree else CHECK_FAILED
-
-
-def _cmd_omega(args: argparse.Namespace) -> int:
-    P = build_channel_matrix(args.n, args.s)
-    direct = bounds.omega_direct(P, bounds.entropy_vector_direct(P))
-    rec = bounds.omega_recursive(args.n) if args.s == 0 else bounds.omega_state1(args.n)
-    agree = direct.entries == rec.entries
+        name, vec = "omega", bounds.omega_direct(P, vec)
+        recursion = bounds.omega_recursive if args.s == 0 else bounds.omega_state1
+    agree = vec.entries == recursion(args.n).entries
     if args.format == "json":
-        _emit(
-            serialization.dumps_json(
-                {
-                    "n": args.n,
-                    "s0": args.s,
-                    "entries": direct.entries,
-                    "recursion_agrees": agree,
-                }
-            ),
-            args.o,
-        )
+        report = {"n": args.n, "s0": args.s, "entries": vec.entries, "recursion_agrees": agree}
+        _emit(serialization.dumps_json(report), args.o)  # dyadics as "a/2^e" strings
     else:
-        vec = "  ".join(str(w) for w in direct.entries)
-        _emit(f"omega(n={args.n}, s0={args.s}) = [{vec}]\nrecursion agrees: {agree}", args.o)
+        entries = "  ".join(map(str, vec.entries))
+        _emit(f"{name}(n={args.n}, s0={args.s}) = [{entries}]\nrecursion agrees: {agree}", args.o)
     return 0 if agree else CHECK_FAILED
 
 
@@ -192,14 +166,13 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         _emit(serialization.dumps_json(serialization.bound_report(result)), args.o)
         return 0
     lines = [f"S = {result.S}, C_up = {result.c_up:.6f} b/u"]
-    if result.d is not None:
-        neg = result.negative_d_indices()
-        if neg:
-            lines.append(
-                f"relaxed optimum leaves the simplex: d < 0 at 1-based indices {neg}"
-            )
-        else:
-            lines.append("relaxed optimum lies on the simplex (all d >= 0)")
+    neg = result.negative_d_indices()
+    if result.d is None:
+        lines.append(f"d not computed (automatic for n <= {bounds.D_AUTO_LIMIT} within the matrix cap)")
+    elif neg:
+        lines.append(f"relaxed optimum leaves the simplex: d < 0 at 1-based indices {neg}")
+    else:
+        lines.append("relaxed optimum lies on the simplex (all d >= 0)")
     lines.append(f"zero-error rate reference: {bounds.ZERO_ERROR_RATE:.6f} b/u")
     lines.append(f"feedback capacity reference: {bounds.golden_ratio_reference():.6f} b/u")
     _emit("\n".join(lines), args.o)
@@ -223,12 +196,14 @@ def _cmd_ba(args: argparse.Namespace) -> int:
     return 0 if report.converged else CHECK_FAILED
 
 
-def _render_to_file(grid, args: argparse.Namespace, default_name: str) -> None:
+def _cmd_render(args: argparse.Namespace) -> int:
+    """fractal and sierpinski: iterate the IFS and write the image."""
+    ifs = fractal.trapdoor_ifs(args.s) if args.command == "fractal" else fractal.sierpinski_ifs()
+    grid = fractal.ifs_iterate(ifs, fractal.unit_grid(), args.resolution)
     pgm = fractal.render_pgm(grid, mode=args.mode, gamma=args.gamma)
-    out = args.o
-    fmt = args.format
+    out, fmt = args.o, args.format
     if out is None:
-        out = f"{default_name}.{fmt or 'pgm'}"
+        out = f"{_IMAGE_NAMES[args.command].format(**vars(args))}.{fmt or 'pgm'}"
     if fmt is None:
         fmt = "png" if str(out).lower().endswith(".png") else "pgm"
     if fmt == "png":
@@ -236,17 +211,6 @@ def _render_to_file(grid, args: argparse.Namespace, default_name: str) -> None:
     else:
         serialization.write_pgm(pgm, out)
     sys.stdout.write(f"wrote {out} ({grid.side}x{grid.side}, {grid.nonzero_count()} occupied cells)\n")
-
-
-def _cmd_fractal(args: argparse.Namespace) -> int:
-    grid = fractal.ifs_iterate(fractal.trapdoor_ifs(args.s), fractal.unit_grid(), args.resolution)
-    _render_to_file(grid, args, f"trapdoor_s{args.s}_k{args.resolution}")
-    return 0
-
-
-def _cmd_sierpinski(args: argparse.Namespace) -> int:
-    grid = fractal.ifs_iterate(fractal.sierpinski_ifs(), fractal.unit_grid(), args.resolution)
-    _render_to_file(grid, args, f"sierpinski_k{args.resolution}")
     return 0
 
 
@@ -266,12 +230,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "matrix": _cmd_matrix,
     "enumerate": _cmd_enumerate,
-    "entropy": _cmd_entropy,
-    "omega": _cmd_omega,
+    "entropy": _cmd_vector,
+    "omega": _cmd_vector,
     "bound": _cmd_bound,
     "ba": _cmd_ba,
-    "fractal": _cmd_fractal,
-    "sierpinski": _cmd_sierpinski,
+    "fractal": _cmd_render,
+    "sierpinski": _cmd_render,
     "verify": _cmd_verify,
 }
 

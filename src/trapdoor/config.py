@@ -1,4 +1,4 @@
-"""The input rules every view shares: resource caps, the initial state, bit strings.
+"""The input rules every view shares: caps, per-letter lengths, states, bit strings.
 
 Each rule lives here once and every entry point calls it.  A cap bounds a
 length by what it costs where the memory is allocated (4**n entries for a
@@ -53,6 +53,12 @@ def check_cap(n: int, env: str, cost: str, what: str = "block length") -> None:
         raise ValueError(
             f"{what} {n} exceeds the cap {limit} ({cost.format(n=n)}; override with {env})"
         )
+
+
+def check_per_letter(n: int) -> None:
+    """Raise ValueError unless n >= 1: a per-letter quantity divides by the block length."""
+    if n < 1:
+        raise ValueError("a per-letter quantity needs block length n >= 1")
 
 
 def check_state(s0) -> int:

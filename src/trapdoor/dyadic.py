@@ -65,9 +65,6 @@ class Dyadic:
     def __bool__(self) -> bool:
         return self.num != 0
 
-    def is_integer(self) -> bool:
-        return self.exp == 0
-
     def is_pow2(self) -> bool:
         """True iff the value is +2**k for some integer k."""
         return self.num > 0 and (self.num & (self.num - 1)) == 0

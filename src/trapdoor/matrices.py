@@ -4,7 +4,8 @@ A matrix is stored as integer rows plus one shared scale exponent: the value
 of entry (i, j) is ``rows[i][j] / 2**exp``.  Keeping a single scale makes
 block assembly and equality checks integer-only.
 
-Matrix products (``matmul``, ``product_equals``) are exact and run on
+Every exact product of the package is computed here.  Matrix products
+(``matmul``, ``product_equals``, ``exact_product``) are exact and run on
 float64 matrix products (BLAS dgemm).  A float64 holds every integer of
 magnitude below 2**53, so for integer matrices A @ B comes out exact, in any
 order of summation, when every partial sum stays below 2**53 in magnitude.
@@ -256,9 +257,6 @@ class DyadicMatrix:
     def reversed_conjugate(self) -> "DyadicMatrix":
         """Entry (i, j) moved to (dim-1-i, dim-1-j): conjugation by the exchange matrix."""
         return DyadicMatrix([row[::-1] for row in self.int_rows[::-1]], self.exp)
-
-    def __neg__(self) -> "DyadicMatrix":
-        return DyadicMatrix([[-v for v in row] for row in self.int_rows], self.exp)
 
     def row_sums(self) -> list[Dyadic]:
         return [Dyadic(sum(row), self.exp) for row in self.int_rows]

@@ -23,9 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import closed_form
+from . import config
+from .bounds import _exact_distribution, closed_form
 from .channel import ChannelMatrix, build_channel_matrix
-from .dyadic import Dyadic
+from .matrices import exact_product
 
 
 class ConvergenceError(RuntimeError):
@@ -92,8 +93,7 @@ def mutual_information(P: ChannelMatrix, p: Sequence[float]) -> float:
 
     Zero-probability inputs and zero channel entries contribute nothing.
     """
-    if P.n < 1:
-        raise ValueError("mutual information per letter needs n >= 1")
+    config.check_per_letter(P.n)
     arr = _as_prob_vector(p, P.dim)
     W, wlogw = _float_matrix(P)
     D = _divergences(W, wlogw, arr)
@@ -109,38 +109,35 @@ def mutual_information_exact(P: ChannelMatrix, p: Sequence) -> Fraction:
     otherwise.  The disjoint-support zero-error input [1/2, 0, 0, 1/2] on the
     n=2 channel is the motivating case, where the result is exactly 1/2.
     """
-    if P.n < 1:
-        raise ValueError("mutual information per letter needs n >= 1")
+    config.check_per_letter(P.n)
     if len(p) != P.dim:
         raise ValueError(f"distribution must have length {P.dim}")
-    pf = [v.as_fraction() if isinstance(v, Dyadic) else Fraction(v) for v in p]
+    pf, p_int = _exact_distribution(p)
     if sum(pf) != 1:
         raise ValueError("distribution must sum to exactly 1")
     if any(v < 0 for v in pf):
         raise ValueError("distribution has a negative entry")
-    scale = 1 << P.data.exp
+    # p_int sums to the lcm scale of p, so q_j = q_int[j] / (scale * 2**exp)
+    # and the likelihood ratio P_ij / q_j is rows[i][j] * scale / q_int[j]
+    scale = sum(p_int)
     rows = P.data.int_rows
-    q = [
-        sum(pf[i] * rows[i][j] for i in range(P.dim)) / scale for j in range(P.dim)
-    ]
-    total = Fraction(0)
-    for i in range(P.dim):
-        if pf[i] == 0:
+    q_int = exact_product([p_int], rows)[0].tolist()
+    total = 0
+    for pi, row in zip(p_int, rows):
+        if not pi:
             continue
-        for j in range(P.dim):
-            v = rows[i][j]
+        for v, qj in zip(row, q_int):
             if not v:
                 continue
-            ratio = Fraction(v, scale) / q[j]
+            ratio = Fraction(v * scale, qj)
             num, den = ratio.numerator, ratio.denominator
             if num & (num - 1) or den & (den - 1):
                 raise ValueError(
                     f"likelihood ratio {ratio} is not a power of two; "
                     "use mutual_information for float evaluation"
                 )
-            log2_ratio = num.bit_length() - den.bit_length()
-            total += pf[i] * Fraction(v, scale) * log2_ratio
-    return total / P.n
+            total += pi * v * (num.bit_length() - den.bit_length())
+    return Fraction(total, (scale << P.data.exp) * P.n)
 
 
 def blahut_arimoto(
@@ -158,8 +155,7 @@ def blahut_arimoto(
     zero; the bracket then certifies the capacity of the restricted input
     alphabet (interior uniform init, the default, covers the full alphabet).
     """
-    if P.n < 1:
-        raise ValueError("optimization per letter needs n >= 1")
+    config.check_per_letter(P.n)
     if not tol > 0:  # NaN included
         raise ValueError("tolerance must be positive")
     if max_iter < 1:

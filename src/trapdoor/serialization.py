@@ -104,8 +104,9 @@ def _parse_row(cells: list[str]) -> tuple[list[int], int]:
 def read_matrix_csv(path: Union[str, Path]) -> Matrix:
     """Parse a matrix written by write_matrix_csv.
 
-    Returns a ChannelMatrix when the header names an initial state, else a
-    DyadicMatrix.  Raises ValueError (with the path) on malformed content.
+    Returns a ChannelMatrix when the header names an initial state (s0=0 or
+    s0=1), a DyadicMatrix for s0=general.  Raises ValueError (with the path)
+    on malformed content, any other s0 included.
     """
     p = Path(path)
     text = p.read_text(encoding="utf-8")
@@ -121,6 +122,8 @@ def read_matrix_csv(path: Union[str, Path]) -> Matrix:
         s0_raw = header["s0"]
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{p}: malformed header {lines[0]!r}") from exc
+    if s0_raw not in ("0", "1", "general"):
+        raise ValueError(f"{p}: header {lines[0]!r} has s0={s0_raw}, expected 0, 1 or general")
     if len(lines) - 1 != dim:
         raise ValueError(f"{p}: expected {dim} rows, found {len(lines) - 1}")
     rows: list[list[int]] = []
@@ -230,13 +233,14 @@ def write_png(pgm: bytes, path: Union[str, Path]) -> None:
 
 
 def bound_report(result) -> dict:
-    """JSON-ready dict for a BoundResult (exact S string, 1-based negative indices)."""
+    """JSON-ready dict for a BoundResult (exact S string, 1-based negative
+    indices of d, or None when d was not computed)."""
     return {
         "n": result.n,
         "s0": result.s0,
         "S": format_dyadic(result.S),
         "c_upper_bits_per_use": result.c_up,
-        "d_negative_indices": result.negative_d_indices(),
+        "d_negative_indices": None if result.d is None else result.negative_d_indices(),
     }
 
 

@@ -30,6 +30,16 @@ def test_bound_json(capsys):
     assert round(data["c_upper_bits_per_use"], 6) == 0.660964
 
 
+def test_bound_without_d(capsys):
+    code, out, _ = run(capsys, "bound", "-n", "12", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["d_negative_indices"] is None
+    code, out, _ = run(capsys, "bound", "-n", "12")
+    assert code == 0
+    assert "d not computed (automatic for n <= 10" in out
+    assert "simplex" not in out
+
+
 def test_bound_n1_on_simplex(capsys):
     code, out, _ = run(capsys, "bound", "-n", "1")
     assert code == 0

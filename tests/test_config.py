@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from trapdoor import bounds, config, enumeration, fractal, verify
+from trapdoor import bounds, config, enumeration, fractal, optimize, verify
 from trapdoor.channel import (
     ChannelMatrix,
     build_channel_matrix,
@@ -143,6 +143,28 @@ def test_verify_passes_under_a_lowered_bound_cap(monkeypatch):
     assert all(r.ok for r in results), [r for r in results if not r.ok]
     (bound,) = [r for r in results if r.name == "bound identities"]
     assert "n <= 6" in bound.detail
+
+
+# -- per-letter lengths ----------------------------------------------------------
+
+# every entry point that divides by the block length, called at n = 0
+PER_LETTER = {
+    "mutual_information": lambda: optimize.mutual_information(build_channel_matrix(0, 0), [1.0]),
+    "mutual_information_exact": lambda: optimize.mutual_information_exact(
+        build_channel_matrix(0, 0), [1]
+    ),
+    "blahut_arimoto": lambda: optimize.blahut_arimoto(build_channel_matrix(0, 0)),
+    "upper_bound": lambda: bounds.upper_bound(0),
+    "closed_form": lambda: bounds.closed_form(0),
+    "closed_form_S": lambda: bounds.closed_form_S(0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_LETTER))
+def test_per_letter_quantities_need_a_positive_length(name):
+    with pytest.raises(ValueError) as exc:
+        PER_LETTER[name]()
+    assert str(exc.value) == "a per-letter quantity needs block length n >= 1"
 
 
 # -- initial state ---------------------------------------------------------------

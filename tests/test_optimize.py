@@ -122,6 +122,13 @@ def test_ba_non_convergence_reported(pairs):
     assert r.final_gap > 1e-14
 
 
+def test_exact_mi_rejects_non_finite_entries(pairs):
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError) as exc:
+            mutual_information_exact(pairs(1)[0], [bad, 0.0])
+        assert str(exc.value) == f"distribution entry 0 is {bad}, not a finite number"
+
+
 def test_ba_rejects_bad_tol(pairs):
     for tol in (0.0, math.nan):
         with pytest.raises(ValueError):

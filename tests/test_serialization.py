@@ -107,6 +107,17 @@ def test_read_errors(tmp_path):
         read_matrix_csv(not_stochastic)
 
 
+@pytest.mark.parametrize("s0", ["2", "banana", ""])
+def test_read_rejects_an_unknown_state_header(tmp_path, pairs, s0):
+    path = tmp_path / "p2.csv"
+    lines = matrix_csv_text(pairs(2)[0]).splitlines()
+    header = lines[0].replace("s0=0", f"s0={s0}")
+    path.write_text("\n".join([header] + lines[1:]) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_matrix_csv(path)
+    assert str(path) in str(exc.value) and repr(header) in str(exc.value)
+
+
 def test_no_floats_in_csv(pairs, inverses):
     for obj in (pairs(4)[0], inverses(4, 1)):
         assert "." not in matrix_csv_text(obj)
