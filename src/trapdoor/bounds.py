@@ -29,15 +29,18 @@ d = [3/4, 1/2] is non-negative and the bound is attained on the simplex at
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from . import config
 from .channel import ChannelMatrix, build_channel_matrix, invert_channel_matrix
 from .dyadic import Dyadic
-from .matrices import DyadicMatrix, exact_product, reverse_vector
+from .matrices import DyadicMatrix, dyadic_vector, exact_product, int_array, reverse_vector, shift_down
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class EntropyVector:
         anchor = -config.check_state(self.s0)  # the all-s0 input: first entry or last
         if self.entries[anchor] != 0:
             raise ValueError("the all-s0 input must have zero conditional entropy")
-        if any(e < 0 or e > self.n for e in self.entries):
+        if any(d.num < 0 or d.num > self.n << d.exp for d in self.entries):
             raise ValueError("entries must lie in [0, n]")
 
 
@@ -113,17 +116,10 @@ def entropy_vector_direct(P: ChannelMatrix) -> EntropyVector:
     Every non-zero entry of a channel matrix is 2**-m and contributes
     m * 2**-m, so the sum is exact.
     """
+    # each term m 2**-m is at most 1/2, so m * entry stays in the entries' dtype
+    nums = np.concatenate([(v * m).sum(axis=1, dtype=np.int64) for v, m in P.halvings()])
     e = P.data.exp
-    out = []
-    for row in P.data.int_rows:
-        acc = 0
-        for v in row:
-            if v:
-                if v & (v - 1):
-                    raise ValueError("channel entry is not a power of two")
-                acc += (e - v.bit_length() + 1) * v
-        out.append(Dyadic(acc, e))
-    return EntropyVector(P.n, P.s0, out)
+    return EntropyVector(P.n, P.s0, [Dyadic(v, e) for v in nums.tolist()])
 
 
 def entropy_vector_recursive_step(n: int) -> EntropyVector:
@@ -183,13 +179,11 @@ def omega_direct(
     if (P.n, P.s0) != (h.n, h.s0):
         raise ValueError("channel matrix and entropy vector disagree on (n, s0)")
     inv = invert_channel_matrix(P) if inverse is None else inverse
-    vals = inv.matvec(h.entries)
-    out = []
-    for d in vals:
-        if d.exp != 0:
-            raise AssertionError(f"weight entry {d} is not an integer")
-        out.append(-d.num)
-    return OmegaVector(P.n, P.s0, out)
+    nums, e = dyadic_vector(h.entries)
+    w = shift_down(exact_product(inv.array, nums[:, None])[:, 0], e + inv.exp)
+    if w is None:
+        raise AssertionError("a weight entry is not an integer")
+    return OmegaVector(P.n, P.s0, (-w).tolist())
 
 
 def omega_recursive(n: int) -> OmegaVector:
@@ -294,24 +288,27 @@ def d_vector(n: int, s0: int = 0, inverse: DyadicMatrix | None = None) -> list[D
     w = omega_recursive(n) if s0 == 0 else omega_state1(n)
     if inverse is None:
         inverse = invert_channel_matrix(build_channel_matrix(n, s0))
-    # d_j = sum_i 2**w_i inv_ij: one row vector times the inverse's integer rows
+    # d_j = sum_i 2**w_i inv_ij: one row vector times the inverse's integer array
     top = -min(w.entries)
-    x = [[1 << (v + top) for v in w.entries]]
+    x = np.left_shift(1, np.array(w.entries) + top)[None, :]
     e = top + inverse.exp
-    return [Dyadic(v, e) for v in exact_product(x, inverse.int_rows)[0].tolist()]
+    return [Dyadic(v, e) for v in exact_product(x, inverse.array)[0].tolist()]
 
 
 def _exact_distribution(p: Sequence) -> tuple[list[Fraction], list[int]]:
     """p as exact Fractions, and as integers p_int = p * lcm of the denominators.
 
     Entries may be ints, Fractions, Dyadics, or floats (floats are dyadic, so
-    the conversion is lossless).  Non-finite entries raise ValueError.
+    the conversion is lossless).  Non-finite and non-numeric entries (strings,
+    which Fraction would parse, bytes, None) raise ValueError.
     """
     pf = []
     for i, v in enumerate(p):
+        if not isinstance(v, (numbers.Number, Dyadic)):
+            raise ValueError(f"distribution entry {i} is {v!r}, not a finite number")
         try:
             pf.append(v.as_fraction() if isinstance(v, Dyadic) else Fraction(v))
-        except (OverflowError, ValueError):
+        except (OverflowError, ValueError, TypeError):
             raise ValueError(f"distribution entry {i} is {v}, not a finite number") from None
     scale = math.lcm(*(f.denominator for f in pf))
     return pf, [f.numerator * (scale // f.denominator) for f in pf]
@@ -325,7 +322,7 @@ def constraint_check(
     Entries of p may be ints, Fractions, Dyadics, or floats, of any sign.
     The test is exact and integer-only: p is scaled by the lcm of its
     denominators to integers p_int, and the sign of each entry of the exact
-    product p_int @ P.data.int_rows decides, since both scales are positive.
+    product p_int @ P.data.array decides, since both scales are positive.
     Non-finite entries raise ValueError.
     """
     s0 = config.check_state(s0)
@@ -336,7 +333,7 @@ def constraint_check(
     if len(p) != P.dim:
         raise ValueError("distribution length must be 2**n")
     _, p_int = _exact_distribution(p)
-    return bool((exact_product([p_int], P.data.int_rows) >= 0).all())
+    return bool((exact_product(int_array([p_int]), P.data.array) >= 0).all())
 
 
 def golden_ratio_reference() -> float:

@@ -25,7 +25,10 @@ import numpy as np
 
 from . import config
 from .dyadic import Dyadic
-from .matrices import DyadicMatrix, IntRows, exact_product, int_array, reverse_vector, shift_down
+from .matrices import DyadicMatrix, dtype_for, exact_product, max_abs, reverse_vector, shift_down
+
+
+_BLOCK_CELLS = 1 << 16  # entries per block of rows in ChannelMatrix.halvings
 
 
 class ChannelMatrix:
@@ -55,18 +58,29 @@ class ChannelMatrix:
         return int(config.check_bits(bits, "input", self.n) or "0", 2)
 
     def float_rows(self) -> list[list[float]]:
-        scale = float(1 << self.data.exp)
-        return [[v / scale for v in row] for row in self.data.int_rows]
+        return (self.data.array * 2.0**-self.data.exp).tolist()
 
     def validate(self) -> None:
         """Check stochasticity and the power-of-two entry property; raises on failure."""
-        one = 1 << self.data.exp
-        for row in self.data.int_rows:
-            if sum(row) != one:
-                raise ValueError("row does not sum to exactly 1")
-            for v in row:
-                if v < 0 or (v and (v & (v - 1))):
-                    raise ValueError("entry is neither 0 nor a power of 1/2")
+        if any(s != 1 for s in self.data.row_sums()):
+            raise ValueError("row does not sum to exactly 1")
+        a = self.data.array
+        if ((a < 0) | (a & (a - 1) != 0)).any():
+            raise ValueError("entry is neither 0 nor a power of 1/2")
+
+    def halvings(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Blocks of consecutive rows as (entries, m), each non-zero entry being 2**-m.
+
+        Blocks hold about _BLOCK_CELLS entries, so their temporaries stay
+        small.  Raises ValueError unless every entry is 0 or a power of two.
+        """
+        a = self.data.array
+        step = max(1, _BLOCK_CELLS // self.dim)
+        for start in range(0, self.dim, step):
+            v = a[start : start + step]
+            if ((v < 0) | (v & (v - 1) != 0)).any():
+                raise ValueError("channel entry is not a power of two")
+            yield v, self.data.exp + 1 - np.frexp(v)[1]  # frexp is exact on powers of two
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChannelMatrix):
@@ -79,24 +93,29 @@ class ChannelMatrix:
         return f"ChannelMatrix(n={self.n}, s0={self.s0})"
 
 
-def _int_ladder(n: int) -> Iterator[tuple[IntRows, IntRows]]:
-    """Scaled integer rows of (P(k,0), P(k,1)) for k = 0..n; level k is scaled by 2**k.
+def _ladder(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(P(k,0), P(k,1)) scaled by 2**k for k = 0..n, as views of two arrays built in place.
 
-    Yields one level at a time and keeps only the one it builds the next
-    from, so at most two levels are alive while a caller walks the ladder.
+    Level k is the top-left 2**k x 2**k corner of each array.  Both arrays
+    are allocated once, in the narrowest dtype that holds 2**n (the largest
+    scaled entry), and each level is written from the one before without
+    temporaries, so a yielded level stays valid only until the next is asked for.
     """
-    rows0: IntRows = [[1]]
-    rows1: IntRows = [[1]]
-    yield rows0, rows1
-    for k in range(1, n + 1):
-        half = 1 << (k - 1)
-        zeros = [0] * half
-        new0 = [[v << 1 for v in r] + zeros for r in rows0]
-        new0 += [r1 + r0 for r1, r0 in zip(rows1, rows0)]
-        new1 = [r1 + r0 for r1, r0 in zip(rows1, rows0)]
-        new1 += [zeros + [v << 1 for v in r] for r in rows1]
-        rows0, rows1 = new0, new1
-        yield rows0, rows1
+    dim = 1 << n
+    p0 = np.zeros((dim, dim), dtype=dtype_for(dim))
+    p1 = np.zeros_like(p0)
+    p0[0, 0] = p1[0, 0] = 1
+    yield p0[:1, :1], p1[:1, :1]
+    for k in range(n):
+        h = 1 << k
+        a0, a1 = p0[:h, :h], p1[:h, :h]
+        # P(k+1,0) = [[2 a0, 0], [a1, a0]] and P(k+1,1) = [[a1, a0], [0, 2 a1]]
+        p0[h : 2 * h, h : 2 * h] = a0
+        p0[h : 2 * h, :h] = a1
+        p1[:h, h : 2 * h] = a0
+        np.left_shift(a1, 1, out=p1[h : 2 * h, h : 2 * h])
+        a0 <<= 1
+        yield p0[: 2 * h, : 2 * h], p1[: 2 * h, : 2 * h]
 
 
 _MATRIX_COST = "storage is 4**{n} entries"
@@ -111,44 +130,38 @@ def build_channel_matrix(n: int, s0: int) -> ChannelMatrix:
 def channel_pair(n: int) -> tuple[ChannelMatrix, ChannelMatrix]:
     """Both P(n, 0) and P(n, 1) from one pass of the recursion."""
     config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
-    rows0, rows1 = deque(_int_ladder(n), maxlen=1)[0]  # the top level only
-    return (
-        ChannelMatrix(n, 0, DyadicMatrix(rows0, n)),
-        ChannelMatrix(n, 1, DyadicMatrix(rows1, n)),
-    )
+    p0, p1 = deque(_ladder(n), maxlen=1)[0]  # the top level only
+    return ChannelMatrix(n, 0, DyadicMatrix(p0, n)), ChannelMatrix(n, 1, DyadicMatrix(p1, n))
 
 
-_LIST_ROWS = 128  # rows of the last inversion level turned into lists at a time
-
-
-def _corner(inv: np.ndarray, mid: IntRows, right: np.ndarray, k: int) -> np.ndarray:
+def _corner(inv: np.ndarray, mid: np.ndarray, right: np.ndarray, k: int) -> np.ndarray:
     """inv @ mid @ right / 2**k exactly; raises ArithmeticError if the division is not exact."""
-    out = shift_down(exact_product(exact_product(inv, int_array(mid)), right), k)
+    out = shift_down(exact_product(exact_product(inv, mid), right), k)
     if out is None:
         raise ArithmeticError(f"corner block is not divisible by 2^{k}")
     return out
 
 
-def _widen(x: np.ndarray) -> np.ndarray:
-    """x as Python ints when a small multiple of it could leave int64."""
-    if x.dtype != object and np.abs(x).max() >= 1 << 60:
-        return x.astype(object)
-    return x
+def _assemble(grid: list[list]) -> np.ndarray:
+    """The block matrix of an inversion level, written into one preallocated array.
 
-
-def _assemble(grid: list[list[np.ndarray]], last: bool) -> np.ndarray | IntRows:
-    """The block matrix of an inversion level: an array, or list rows at the last level.
-
-    The last level goes to lists a few rows at a time, so no full-size array
-    of it is ever built next to its list form.
+    Each cell of the grid is a (coefficient, block) pair, or None for a zero
+    block.  The array's dtype is the narrowest that holds the largest
+    |coefficient * entry|, and each block is scaled in that dtype, so no
+    product wraps.
     """
-    if not last:
-        return np.block(grid)
-    rows: IntRows = []
-    for blocks in grid:
-        for start in range(0, len(blocks[0]), _LIST_ROWS):
-            rows += np.hstack([b[start : start + _LIST_ROWS] for b in blocks]).tolist()
-    return rows
+    blocks = [cell for row in grid for cell in row if cell]
+    side = blocks[0][1].shape[0]
+    top = max(abs(c) * max_abs(b) for c, b in blocks)
+    out = np.zeros((side * len(grid),) * 2, dtype=dtype_for(top))
+    for i, row in enumerate(grid):
+        for j, cell in enumerate(row):
+            if cell:
+                view = out[i * side : (i + 1) * side, j * side : (j + 1) * side]
+                view[...] = cell[1]
+                if cell[0] != 1:
+                    view *= cell[0]
+    return out
 
 
 def _invert_ladder(n: int, s0: int) -> DyadicMatrix:
@@ -158,25 +171,21 @@ def _invert_ladder(n: int, s0: int) -> DyadicMatrix:
         [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]
     with A = P(k-1,0), C = P(k-1,1)/2, D = P(k-1,0)/2, which collapses to
     -D^-1 C A^-1 = -A^-1 P(k-1,1) A^-1 and D^-1 = 2 A^-1.  State 1 is the
-    mirrored upper-triangular case.  The working inverse is an integer array
-    between levels.
+    mirrored upper-triangular case.
     """
     if n == 0:
-        return DyadicMatrix([[1]], 0)
-    ladder = _int_ladder(n - 1)
-    inv = np.ones((1, 1), dtype=np.int64)
+        return DyadicMatrix.identity(1)
+    ladder = _ladder(n - 1)
+    inv = np.ones((1, 1), dtype=np.int16)
     for k in range(1, n + 1):
         # P(k-1, 1) for state 0 and P(k-1, 0) for state 1, scaled by 2**(k-1)
         corner = _corner(inv, next(ladder)[1 - s0], inv, k - 1)
         if k == n:
             ladder.close()  # drop the last level before the full-size blocks
-        inv, corner = _widen(inv), _widen(corner)
-        zeros = np.zeros_like(inv)
         if s0 == 0:
-            grid = [[inv, zeros], [-corner, 2 * inv]]
+            inv = _assemble([[(1, inv), None], [(-1, corner), (2, inv)]])
         else:
-            grid = [[2 * inv, -corner], [zeros, inv]]
-        inv = _assemble(grid, k == n)
+            inv = _assemble([[(2, inv), (-1, corner)], [None, (1, inv)]])
     return DyadicMatrix(inv, 0)
 
 
@@ -199,24 +208,22 @@ def invert_two_step(n: int, s0: int) -> DyadicMatrix:
     if n % 2:
         raise ValueError("two-step inversion needs an even block length")
     if n == 0:
-        return DyadicMatrix([[1]], 0)
-    levels = islice(_int_ladder(n - 2), 0, None, 2)
-    inv = np.ones((1, 1), dtype=np.int64)
+        return DyadicMatrix.identity(1)
+    levels = islice(_ladder(n - 2), 0, None, 2)
+    inv = np.ones((1, 1), dtype=np.int16)
     for k in range(2, n + 1, 2):
         mid = next(levels)[1]  # P(k-2, 1), scaled by 2**(k-2)
         m = _corner(inv, mid, inv, k - 2)
         f = _corner(m, mid, inv, k - 2)
-        iv, m, f = _widen(inv), _widen(m), _widen(f)
-        z = np.zeros_like(iv)
         grid = [
-            [iv, z, z, z],
-            [-m, 2 * iv, z, z],
-            [z, -iv, 2 * iv, z],
-            [2 * f, -3 * m, -2 * m, 4 * iv],
+            [(1, inv), None, None, None],
+            [(-1, m), (2, inv), None, None],
+            [None, (-1, inv), (2, inv), None],
+            [(2, f), (-3, m), (-2, m), (4, inv)],
         ]
         if k == n and s0 == 1:  # J grid J, as views
-            grid = [[b[::-1, ::-1] for b in row[::-1]] for row in grid[::-1]]
-        inv = _assemble(grid, k == n)
+            grid = [[c and (c[0], c[1][::-1, ::-1]) for c in row[::-1]] for row in grid[::-1]]
+        inv = _assemble(grid)
     return DyadicMatrix(inv, 0)
 
 
@@ -249,9 +256,8 @@ def disjoint_support_check(
             raise ValueError(f"row index {r} out of range 1..{P.dim}")
         return r - 1
 
-    ra = P.data.int_rows[resolve(row_a)]
-    rb = P.data.int_rows[resolve(row_b)]
-    return all(not (a and b) for a, b in zip(ra, rb))
+    a = P.data.array
+    return not ((a[resolve(row_a)] != 0) & (a[resolve(row_b)] != 0)).any()
 
 
 __all__ = [

@@ -201,16 +201,8 @@ def unit_grid() -> ShapeGrid:
 
 def rho_representation(P: ChannelMatrix) -> ShapeGrid:
     """Embed a channel matrix as a height grid at resolution n (matrix as printed)."""
-    side = P.dim
-    codes = np.empty((side, side), dtype=np.int8)
-    rows = max(1, _BLOCK_CELLS // side)
-    for r in range(0, side, rows):
-        v = np.array(P.data.int_rows[r : r + rows], dtype=np.int64)
-        if ((v < 0) | (v & (v - 1) != 0)).any():
-            raise ValueError("channel entry is not a power of two")
-        bit_length = np.frexp(v)[1]  # exact: v is 0 or a power of two
-        codes[r : r + rows] = _int8_codes(np.where(v == 0, EMPTY, P.data.exp + 1 - bit_length), P.n)
-    return ShapeGrid._wrap(P.n, codes)
+    codes = [_int8_codes(np.where(v == 0, EMPTY, m), P.n) for v, m in P.halvings()]
+    return ShapeGrid._wrap(P.n, np.concatenate(codes))
 
 
 def tau_transform(g: ShapeGrid) -> ShapeGrid:

@@ -1,8 +1,13 @@
 """Dense exact matrices over the dyadic rationals.
 
-A matrix is stored as integer rows plus one shared scale exponent: the value
-of entry (i, j) is ``rows[i][j] / 2**exp``.  Keeping a single scale makes
-block assembly and equality checks integer-only.
+A matrix is one read-only integer numpy array plus one shared scale exponent:
+the value of entry (i, j) is ``array[i, j] / 2**exp``.  Keeping a single
+scale makes block assembly and equality checks integer-only.  The array is
+stored in the narrowest of int16, int32 and int64 whose range holds the
+magnitude of every entry, or as an object array of Python ints past int64
+(-2**63 included).  Arithmetic runs in int64, or in Python ints once a bound
+says int64 could overflow, and results are narrowed only when stored.
+Python lists of the rows are an export view, built on first use.
 
 Every exact product of the package is computed here.  Matrix products
 (``matmul``, ``product_equals``, ``exact_product``) are exact and run on
@@ -15,20 +20,16 @@ operands are cut into limbs (signed digits in base 2**L) chosen so that each
 pair of limbs meets it, and the shifted limb products are summed in int64, or
 in Python ints once the bound on the result leaves int64.  The left factor
 is converted one block of rows at a time, so no float copy of it is ever
-whole.  A matrix-vector product is one pass over the rows in Python ints,
-which costs less than converting the rows for a float64 product.
+whole.  A matrix-vector product is the same product with one column.
 """
 
 from __future__ import annotations
 
-from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .dyadic import Dyadic
-
-IntRows = list[list[int]]
 
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer of smaller magnitude
 _INT64_LIMIT = 1 << 63
@@ -38,11 +39,12 @@ _ROW_SUM_BITS = 40
 # rows of the left factor converted to float64 at a time; dgemm runs near full
 # speed from 128 rows up (measured at dimensions 1024 to 4096)
 _BLOCK_ROWS = 128
+_NARROW = tuple(np.dtype(t) for t in (np.int16, np.int32, np.int64))
 
 
 def int_array(rows) -> np.ndarray:
-    """Integer rows as an int64 array, or as an object array of Python ints
-    when some entry's magnitude does not fit in int64."""
+    """Integer rows (or one row) as an int64 array, or as an object array of
+    Python ints when some entry's magnitude does not fit in int64."""
     try:
         arr = np.array(rows, dtype=np.int64)
     except OverflowError:
@@ -52,18 +54,32 @@ def int_array(rows) -> np.ndarray:
     return arr
 
 
-def _max_abs(x: np.ndarray) -> int:
+def dtype_for(top: int) -> np.dtype:
+    """The narrowest of int16, int32, int64 and object holding every integer of magnitude <= top."""
+    for dt in _NARROW:
+        if top <= np.iinfo(dt).max:
+            return dt
+    return np.dtype(object)
+
+
+def _working(x: np.ndarray, top: int) -> np.ndarray:
+    """x in int64 for arithmetic whose magnitudes stay at most top, or as Python ints past int64."""
+    return x.astype(np.int64 if top < _INT64_LIMIT else object, copy=False)
+
+
+def max_abs(x: np.ndarray) -> int:
+    """The largest |entry| of an array as a Python int, 0 when it is empty."""
     return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
-def _exact_float(b) -> np.ndarray | None:
-    """Integer rows or array b as float64 when every |entry| < 2**53 (so the
+def _exact_float(b: np.ndarray) -> np.ndarray | None:
+    """Integer array b as float64 when every |entry| < 2**53 (so the
     conversion is exact), else None."""
     try:
-        f = np.array(b, dtype=np.float64)
+        f = b.astype(np.float64)
     except OverflowError:
         return None
-    if _max_abs(f) >= _FLOAT_EXACT:
+    if max_abs(f) >= _FLOAT_EXACT:
         return None
     return f
 
@@ -72,15 +88,12 @@ def _max_row_sum(x: np.ndarray) -> int:
     """max_i sum_k |x_ik| as a Python int, summed in Python ints where int64 could overflow."""
     if not x.size:
         return 0
-    mag = np.abs(x)
-    if mag.dtype != object and int(mag.max()) * x.shape[1] >= _INT64_LIMIT:
-        mag = mag.astype(object)
-    return int(mag.sum(axis=1).max())
+    return int(np.abs(_working(x, max_abs(x) * x.shape[1])).sum(axis=1).max())
 
 
 def _limbs(x: np.ndarray, width: int) -> list[np.ndarray]:
     """Signed limbs of x in base 2**width: x == sum_t limbs[t] << (t * width), |limbs[t]| < 2**width."""
-    top = _max_abs(x)
+    top = max_abs(x)
     if top >> width == 0:
         return [x]
     mag, neg = np.abs(x), x < 0
@@ -96,14 +109,13 @@ def _limbs(x: np.ndarray, width: int) -> list[np.ndarray]:
 class _RightFactor:
     """Right factor b of exact products, held as float64 limbs cut for the narrowest width asked.
 
-    ``b`` is a list of integer rows or an integer array; it is read again
-    only when narrower limbs are needed.
+    ``b`` is an integer array; it is read again only when narrower limbs are needed.
     """
 
-    def __init__(self, b) -> None:
+    def __init__(self, b: np.ndarray) -> None:
         self.b = b
         whole = _exact_float(b)
-        self.max_abs = _max_abs(int_array(b) if whole is None else whole)
+        self.max_abs = max_abs(b if whole is None else whole)
         self.width = max(self.max_abs.bit_length(), 1)
         self._limbs: list[tuple[np.ndarray, int]] = [] if whole is None else [(whole, self.max_abs)]
 
@@ -116,9 +128,7 @@ class _RightFactor:
         width = min(width, max(self.max_abs.bit_length(), 1))
         if not self._limbs or width < self.width:
             self._limbs = []  # release the old limbs before making new ones
-            self._limbs = [
-                (v.astype(np.float64), _max_abs(v)) for v in _limbs(int_array(self.b), width)
-            ]
+            self._limbs = [(v.astype(np.float64), max_abs(v)) for v in _limbs(self.b, width)]
             self.width = width
         return self._limbs
 
@@ -129,7 +139,7 @@ def _block_product(a: np.ndarray, right: _RightFactor) -> np.ndarray:
     Every float64 product runs only after its bound check: max row sum of
     |a limb| times max |b limb| must stay below 2**53.
     """
-    shape = (a.shape[0], len(right.b[0]))
+    shape = (a.shape[0], right.b.shape[1])
     ra, mb = _max_row_sum(a), right.max_abs
     if ra == 0 or mb == 0:
         return np.zeros(shape, dtype=np.int64)
@@ -153,14 +163,10 @@ def _block_product(a: np.ndarray, right: _RightFactor) -> np.ndarray:
     return acc
 
 
-def _row_blocks(a, right: _RightFactor) -> Iterator[tuple[int, np.ndarray]]:
-    """Exact products with b of a's rows, _BLOCK_ROWS at a time, each with its first row index.
-
-    ``a`` is a list of integer rows (converted one block at a time) or an integer array.
-    """
+def _row_blocks(a: np.ndarray, right: _RightFactor) -> Iterator[tuple[int, np.ndarray]]:
+    """Exact products with b of a's rows, _BLOCK_ROWS at a time, each with its first row index."""
     for start in range(0, len(a), _BLOCK_ROWS):
-        block = a[start : start + _BLOCK_ROWS]
-        yield start, _block_product(int_array(block) if isinstance(block, list) else block, right)
+        yield start, _block_product(a[start : start + _BLOCK_ROWS], right)
 
 
 def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,50 +178,74 @@ def shift_down(x: np.ndarray, k: int) -> np.ndarray | None:
     """x / 2**k for an integer array, or None unless every entry is divisible by 2**k."""
     if k == 0:
         return x
-    if x.dtype != object and k >= 63:
-        x = x.astype(object)
+    if x.dtype != object:
+        x = x.astype(object if k >= 63 else np.int64, copy=False)
     if np.any(x & ((1 << k) - 1)):
         return None
     return x >> k
 
 
-class DyadicMatrix:
-    """Square exact matrix; entry (i, j) equals ``int_rows[i][j] / 2**exp``.
+def dyadic_vector(vec: Sequence[Dyadic]) -> tuple[np.ndarray, int]:
+    """(nums, e) with vec[i] == nums[i] / 2**e, e the largest exponent in vec."""
+    e = max((d.exp for d in vec), default=0)
+    return int_array([d.num << (e - d.exp) for d in vec]), e
 
-    The int rows are owned by the instance and must not be mutated by
-    callers; all operations return fresh matrices.
+
+class DyadicMatrix:
+    """Square exact matrix; entry (i, j) equals ``array[i, j] / 2**exp``.
+
+    The array is read-only and owned by the instance (an integer array passed
+    in is kept without a copy when its dtype is already the narrowest);
+    all operations return fresh matrices.
     """
 
-    __slots__ = ("int_rows", "exp", "dim")
+    __slots__ = ("array", "exp", "_rows")
 
-    def __init__(self, int_rows: IntRows, exp: int = 0) -> None:
-        dim = len(int_rows)
-        if any(len(r) != dim for r in int_rows):
+    def __init__(self, entries, exp: int = 0) -> None:
+        try:
+            arr = entries if isinstance(entries, np.ndarray) else int_array(entries)
+        except ValueError:  # ragged rows
+            raise ValueError("matrix must be square") from None
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("matrix must be square")
         if exp < 0:
             raise ValueError("scale exponent must be non-negative")
-        self.int_rows = int_rows
+        dt = dtype_for(max_abs(arr))  # stored in the narrowest dtype, read-only
+        self.array = arr.astype(dt) if arr.dtype != dt else arr.view()
+        self.array.flags.writeable = False
         self.exp = exp
-        self.dim = dim
+        self._rows: list[list[int]] | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def int_rows(self) -> list[list[int]]:
+        """The entries as lists of Python ints, for export and test oracles.
+
+        Built from the array on first access and cached, so every access
+        returns the same list object; the package itself never reads it.
+        """
+        if self._rows is None:
+            self._rows = self.array.tolist()
+        return self._rows
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def identity(cls, dim: int) -> "DyadicMatrix":
-        rows = [[0] * dim for _ in range(dim)]
-        for i, row in enumerate(rows):
-            row[i] = 1
-        return cls(rows, 0)
+        return cls(np.eye(dim, dtype=np.int16), 0)
 
     # -- element access ------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Dyadic:
         """Entry at 0-based position (i, j)."""
-        return Dyadic(self.int_rows[i][j], self.exp)
+        return Dyadic(int(self.array[i, j]), self.exp)
 
     def row_dyadics(self, i: int) -> list[Dyadic]:
         e = self.exp
-        return [Dyadic(v, e) for v in self.int_rows[i]]
+        return [Dyadic(v, e) for v in self.array[i].tolist()]
 
     def to_lists(self) -> list[list[Dyadic]]:
         return [self.row_dyadics(i) for i in range(self.dim)]
@@ -226,40 +256,23 @@ class DyadicMatrix:
         """Rescale to the given exponent; raises if entries are not exactly representable."""
         shift = exp - self.exp
         if shift >= 0:
-            return DyadicMatrix([[v << shift for v in row] for row in self.int_rows], exp)
-        down = -shift
-        mask = (1 << down) - 1
-        out = []
-        for row in self.int_rows:
-            new = []
-            for v in row:
-                if v & mask:
-                    raise ValueError("entries not divisible by the requested power of two")
-                new.append(v >> down)
-            out.append(new)
+            a = self.array
+            return DyadicMatrix(_working(a, max_abs(a) << shift) << shift, exp)
+        out = shift_down(self.array, -shift)
+        if out is None:
+            raise ValueError("entries not divisible by the requested power of two")
         return DyadicMatrix(out, exp)
-
-    def reduced(self) -> "DyadicMatrix":
-        """Equivalent matrix with the smallest possible scale exponent."""
-        g = self.exp
-        for row in self.int_rows:
-            for v in row:
-                if v:
-                    tz = (v & -v).bit_length() - 1
-                    if tz < g:
-                        g = tz
-                    if g == 0:
-                        return self.with_exp(self.exp)  # copy
-        return self.with_exp(self.exp - g)
 
     # -- structure ops -------------------------------------------------------
 
     def reversed_conjugate(self) -> "DyadicMatrix":
         """Entry (i, j) moved to (dim-1-i, dim-1-j): conjugation by the exchange matrix."""
-        return DyadicMatrix([row[::-1] for row in self.int_rows[::-1]], self.exp)
+        return DyadicMatrix(self.array[::-1, ::-1], self.exp)
 
     def row_sums(self) -> list[Dyadic]:
-        return [Dyadic(sum(row), self.exp) for row in self.int_rows]
+        a = self.array
+        sums = _working(a, max_abs(a) * self.dim).sum(axis=1)
+        return [Dyadic(v, self.exp) for v in sums.tolist()]
 
     # -- comparisons ---------------------------------------------------------
 
@@ -268,24 +281,16 @@ class DyadicMatrix:
             return NotImplemented
         if self.dim != other.dim:
             return False
-        if self.exp == other.exp:
-            return self.int_rows == other.int_rows
-        e = max(self.exp, other.exp)
-        ls, rs = e - self.exp, e - other.exp
-        return all(
-            [v << ls for v in ra] == [v << rs for v in rb]
-            for ra, rb in zip(self.int_rows, other.int_rows)
-        )
+        coarse, fine = sorted((self, other), key=lambda m: m.exp)
+        # equal only if every entry on the finer scale divides down to the coarser one
+        down = shift_down(fine.array, fine.exp - coarse.exp)
+        return down is not None and np.array_equal(coarse.array, down)
 
     __hash__ = None  # type: ignore[assignment]
 
     def is_identity(self) -> bool:
-        one = 1 << self.exp
-        for i, row in enumerate(self.int_rows):
-            for j, v in enumerate(row):
-                if v != (one if i == j else 0):
-                    return False
-        return True
+        a = self.array
+        return bool((np.diagonal(a) == 1 << self.exp).all()) and np.count_nonzero(a) == self.dim
 
     # -- products ------------------------------------------------------------
 
@@ -296,18 +301,17 @@ class DyadicMatrix:
         """Exact matrix product."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        right = _RightFactor(other.int_rows)
-        rows: IntRows = []
-        for _, block in _row_blocks(self.int_rows, right):
-            rows += block.tolist()
-        return DyadicMatrix(rows, self.exp + other.exp)
+        return DyadicMatrix(exact_product(self.array, other.array), self.exp + other.exp)
 
-    def product_equals(self, other: "DyadicMatrix", expected: "DyadicMatrix") -> bool:
-        """Check self @ other == expected without materializing the product."""
-        if self.dim != other.dim or self.dim != expected.dim:
+    def product_equals(self, other: "DyadicMatrix", expected: "DyadicMatrix | None") -> bool:
+        """Check self @ other == expected (the identity when None) without
+        materializing the product: each block of product rows is compared
+        with the same rows of expected, or with a slice of the identity."""
+        dim = self.dim
+        if other.dim != dim or (expected is not None and expected.dim != dim):
             return False
         prod_exp = self.exp + other.exp
-        shift = prod_exp - expected.exp
+        shift = prod_exp - (0 if expected is None else expected.exp)
         if shift < 0:
             # expected is on a finer scale; rescale it down if possible
             try:
@@ -315,28 +319,28 @@ class DyadicMatrix:
             except ValueError:
                 return False
             shift = 0
-        want = expected.int_rows
-        right = _RightFactor(other.int_rows)
-        for start, block in _row_blocks(self.int_rows, right):
+        for start, block in _row_blocks(self.array, _RightFactor(other.array)):
+            rows = len(block)
             block = shift_down(block, shift)
-            if block is None or block.tolist() != want[start : start + len(block)]:
+            if expected is None:
+                want = np.eye(rows, dim, start, dtype=np.int8)
+            else:
+                want = expected.array[start : start + rows]
+            if block is None or not np.array_equal(block, want):
                 return False
         return True
 
     def product_is_identity(self, other: "DyadicMatrix") -> bool:
         """Check self @ other == I exactly."""
-        return self.product_equals(other, DyadicMatrix.identity(self.dim))
+        return self.product_equals(other, None)
 
     def matvec(self, vec: Sequence[Dyadic]) -> list[Dyadic]:
         """Exact matrix-vector product."""
         if len(vec) != self.dim:
             raise ValueError("dimension mismatch")
-        ve = max((d.exp for d in vec), default=0)
-        nums = [d.num << (ve - d.exp) for d in vec]
-        e = self.exp + ve
-        # one pass over the rows in Python ints: converting the rows to an
-        # array for a float64 product would cost more than this pass
-        return [Dyadic(sum(map(mul, row, nums)), e) for row in self.int_rows]
+        nums, e = dyadic_vector(vec)
+        e += self.exp
+        return [Dyadic(v, e) for v in exact_product(self.array, nums[:, None])[:, 0].tolist()]
 
 
 def reverse_vector(v: Sequence) -> list:

@@ -26,7 +26,7 @@ import numpy as np
 from . import config
 from .bounds import _exact_distribution, closed_form
 from .channel import ChannelMatrix, build_channel_matrix
-from .matrices import exact_product
+from .matrices import exact_product, int_array
 
 
 class ConvergenceError(RuntimeError):
@@ -72,7 +72,7 @@ def _float_matrix(P: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
     Both are exact: every entry is 0 or a power of two, so the scaling, the
     logarithms and the products are exact in double precision.
     """
-    W = np.array(P.data.int_rows, dtype=float) * 2.0**-P.data.exp
+    W = P.data.array * 2.0**-P.data.exp
     wlogw = (W * np.log2(np.where(W > 0.0, W, 1.0))).sum(axis=1)
     return W, wlogw
 
@@ -118,18 +118,17 @@ def mutual_information_exact(P: ChannelMatrix, p: Sequence) -> Fraction:
     if any(v < 0 for v in pf):
         raise ValueError("distribution has a negative entry")
     # p_int sums to the lcm scale of p, so q_j = q_int[j] / (scale * 2**exp)
-    # and the likelihood ratio P_ij / q_j is rows[i][j] * scale / q_int[j]
+    # and the likelihood ratio P_ij / q_j is a[i, j] * scale / q_int[j]
     scale = sum(p_int)
-    rows = P.data.int_rows
-    q_int = exact_product([p_int], rows)[0].tolist()
+    a = P.data.array
+    q_int = exact_product(int_array([p_int]), a)[0].tolist()
     total = 0
-    for pi, row in zip(p_int, rows):
+    for i, pi in enumerate(p_int):
         if not pi:
             continue
-        for v, qj in zip(row, q_int):
-            if not v:
-                continue
-            ratio = Fraction(v * scale, qj)
+        cols = np.flatnonzero(a[i])
+        for j, v in zip(cols.tolist(), a[i, cols].tolist()):
+            ratio = Fraction(v * scale, q_int[j])
             num, den = ratio.numerator, ratio.denominator
             if num & (num - 1) or den & (den - 1):
                 raise ValueError(

@@ -72,8 +72,8 @@ def matrix_csv_text(matrix: Matrix) -> str:
         return text
 
     lines = [f"n={n},s0={s0},dim={data.dim}"]
-    for row in data.int_rows:
-        lines.append(",".join(map(cell, row)))
+    for row in data.array:  # one row at a time, so no list of the whole matrix is built
+        lines.append(",".join(map(cell, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

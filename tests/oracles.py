@@ -3,11 +3,11 @@
 Everything here is deliberately naive and Fraction-based: channel matrices
 from the block recursion in plain Fractions, Gauss-Jordan inversion, direct
 entropy sums, a physical simulation of the ball process, and a double-loop
-mutual information.  None of it shares code with the package, except where a
-function says so.  The packed big-integer product, the list-backed
-inversion ladders and the depth-first output enumeration are the package's
-former implementations, kept here as references for the float64 products,
-the array-backed ladders and the level-wise enumeration.
+mutual information.  None of it shares code with the package.  The packed
+big-integer product, the list-backed channel and inversion ladders and the
+depth-first output enumeration are the package's former implementations,
+kept here as references for the float64 products, the array-backed ladders
+and the level-wise enumeration.
 """
 
 from __future__ import annotations
@@ -217,14 +217,32 @@ def _exact_halvings(rows: list[list[int]], k: int) -> list[list[int]]:
     return [[v >> k for v in row] for row in rows]
 
 
-def invert_ladder_lists(n: int, s0: int) -> list[list[int]]:
-    """Integer rows of P(n, s0)^-1 by the one-step block formula on lists and packed products.
+def int_ladder_lists(n: int) -> list[tuple[list[list[int]], list[list[int]]]]:
+    """Integer rows of (P(k,0), P(k,1)) scaled by 2**k for k = 0..n, by the block recursion on lists."""
+    rows0, rows1 = [[1]], [[1]]
+    levels = [(rows0, rows1)]
+    for k in range(1, n + 1):
+        zeros = [0] * (1 << (k - 1))
+        new0 = [[v << 1 for v in r] + zeros for r in rows0]
+        new0 += [r1 + r0 for r1, r0 in zip(rows1, rows0)]
+        new1 = [r1 + r0 for r1, r0 in zip(rows1, rows0)]
+        new1 += [zeros + [v << 1 for v in r] for r in rows1]
+        rows0, rows1 = new0, new1
+        levels.append((rows0, rows1))
+    return levels
 
-    Reuses the package's `channel._int_ladder` for the rows of P(k, s).
+
+def entropy_direct_lists(rows: list[list[int]], e: int) -> list[tuple[int, int]]:
+    """Row entropies of integer rows scaled by 2**e, as (numerator, e) pairs at scale 2**e.
+
+    Every non-zero entry v = 2**(e-m) contributes m * v.
     """
-    from trapdoor.channel import _int_ladder
+    return [(sum((e + 1 - v.bit_length()) * v for v in row if v), e) for row in rows]
 
-    ladder = list(_int_ladder(max(n - 1, 0)))
+
+def invert_ladder_lists(n: int, s0: int) -> list[list[int]]:
+    """Integer rows of P(n, s0)^-1 by the one-step block formula on lists and packed products."""
+    ladder = int_ladder_lists(max(n - 1, 0))
     inv = [[1]]
     for k in range(1, n + 1):
         mid = ladder[k - 1][1 - s0]  # scaled by 2**(k-1)
@@ -241,13 +259,8 @@ def invert_ladder_lists(n: int, s0: int) -> list[list[int]]:
 
 
 def invert_two_step_lists(n: int, s0: int) -> list[list[int]]:
-    """Integer rows of P(n, s0)^-1, even n, by the four-block recursion on lists.
-
-    Reuses the package's `channel._int_ladder` for the rows of P(k, s).
-    """
-    from trapdoor.channel import _int_ladder
-
-    ladder = list(_int_ladder(max(n - 2, 0)))
+    """Integer rows of P(n, s0)^-1, even n, by the four-block recursion on lists."""
+    ladder = int_ladder_lists(max(n - 2, 0))
     iv = [[1]]
     for k in range(2, n + 1, 2):
         quarter = 1 << (k - 2)

@@ -292,6 +292,13 @@ def test_constraint_check_examples(pairs):
             constraint_check(2, 0, [0.5, 0.0, bad, 0.5])
 
 
+@pytest.mark.parametrize("bad", ["1/2", "0.5", b"1", None, 1j])
+def test_constraint_check_rejects_non_numeric_entries(bad):
+    # Fraction would parse the strings; None and bytes would end in its TypeError
+    with pytest.raises(ValueError, match=r"^distribution entry 1 is .*, not a finite number$"):
+        constraint_check(1, 0, [0.5, bad])
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_constraint_check_matches_fraction_oracle(n, pairs):
     # signed mixed-type vectors: ints, floats, Dyadics and non-dyadic Fractions
@@ -348,3 +355,12 @@ def test_d_vector_equals_transposed_inverse_times_weights(inverses):
             transposed = DyadicMatrix([list(col) for col in zip(*inv.int_rows)], inv.exp)
             expect = transposed.matvec([Dyadic.pow2(v) for v in w.entries])
             assert d_vector(n, s0, inverse=inv) == expect
+
+
+@pytest.mark.parametrize("s0", (0, 1))
+def test_exact_vectors_hold_python_ints(s0, pairs, inverses):
+    P, inv = pairs(6)[s0], inverses(6, s0)
+    h = entropy_vector_direct(P)
+    w = omega_direct(P, h, inverse=inv)
+    assert all(type(x) is int for x in w.entries)
+    assert all(type(d.num) is int for d in h.entries + d_vector(6, s0, inverse=inv))

@@ -1,13 +1,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
 from oracles import (
     channel_fractions,
+    entropy_direct_lists,
     gauss_jordan_inverse,
+    int_ladder_lists,
     invert_ladder_lists,
     invert_two_step_lists,
 )
+from trapdoor.bounds import entropy_vector_direct
 from trapdoor.channel import (
+    _assemble,
     build_channel_matrix,
     disjoint_support_check,
     exchange_conjugate,
@@ -96,12 +102,40 @@ def test_two_step_inverse_agrees(n, s0, inverses):
     assert invert_two_step(n, s0) == inverses(n, s0)
 
 
-@pytest.mark.parametrize("n", range(0, 9))
+@pytest.mark.parametrize("n", range(0, 11))
 @pytest.mark.parametrize("s0", (0, 1))
 def test_inverses_equal_list_ladders(n, s0, inverses):
-    assert inverses(n, s0) == DyadicMatrix(invert_ladder_lists(n, s0), 0)
+    assert inverses(n, s0).array.tolist() == invert_ladder_lists(n, s0)
     if n % 2 == 0:
-        assert invert_two_step(n, s0) == DyadicMatrix(invert_two_step_lists(n, s0), 0)
+        assert invert_two_step(n, s0).array.tolist() == invert_two_step_lists(n, s0)
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_array_ladder_and_entropy_equal_list_code(n, pairs):
+    levels = int_ladder_lists(n)
+    for s0, P in enumerate(pairs(n)):
+        rows = levels[n][s0]
+        assert (P.data.exp, P.data.array.tolist()) == (n, rows)
+        h = entropy_vector_direct(P).entries
+        assert [d.shift(n).num for d in h] == [num for num, _ in entropy_direct_lists(rows, n)]
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_narrowest_dtypes(n, pairs, inverses):
+    for s0 in (0, 1):
+        assert pairs(n)[s0].data.array.dtype == np.int16
+        assert inverses(n, s0).array.dtype == (np.int16 if n <= 7 else np.int32)
+        assert not pairs(n)[s0].data.array.flags.writeable
+
+
+def test_assembly_widens_instead_of_wrapping():
+    top = np.full((2, 2), (1 << 31) - 1, dtype=np.int32)
+    out = _assemble([[(2, top), None], [(-1, top), (1, top)]])
+    assert out.dtype == np.int64
+    assert out.tolist() == [[(1 << 32) - 2] * 2 + [0, 0]] * 2 + [[1 - (1 << 31)] * 2 + [(1 << 31) - 1] * 2] * 2
+    big = np.full((1, 1), 1 << 62, dtype=np.int64)
+    out = _assemble([[(2, big), None], [None, (-3, big)]])
+    assert out.dtype == object and out.tolist() == [[1 << 63, 0], [0, -3 << 62]]
 
 
 @pytest.mark.parametrize("delta", (-1, 1))

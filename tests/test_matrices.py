@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -72,13 +73,6 @@ def test_with_exp_checks_divisibility():
     with pytest.raises(ValueError):
         m.with_exp(0)
     assert DyadicMatrix([[2, 0], [0, 4]], 1).with_exp(0).int_rows == [[1, 0], [0, 2]]
-
-
-def test_reduced_minimizes_exponent():
-    m = DyadicMatrix([[4, 0], [2, 8]], 3)
-    r = m.reduced()
-    assert r == m
-    assert r.exp == 2
 
 
 def test_entry_and_rows():
@@ -172,3 +166,48 @@ def test_product_is_identity_on_inverse_pairs(data, n, bits, a_exp, b_exp):
     if h and n > h:
         b[0][n - 1] += 1
         assert not a.product_is_identity(DyadicMatrix(b, b_exp))
+
+
+def test_int_rows_is_one_cached_list_view():
+    m = DyadicMatrix([[1, -2], [3, 1 << 40]], 2)
+    rows = m.int_rows
+    assert rows is m.int_rows
+    assert rows == m.array.tolist() == [[1, -2], [3, 1 << 40]]
+    assert all(type(v) is int for row in rows for v in row)
+    assert m.array.dtype == np.int64 and not m.array.flags.writeable
+
+
+@pytest.mark.parametrize("edge", [1 << 63, 1 << 70, -(1 << 63), -(1 << 80)])
+def test_object_dtype_beyond_int64(edge):
+    m = DyadicMatrix([[edge, 1], [0, 1]], 0)
+    assert m.array.dtype == object  # -2**63 too: its magnitude leaves int64
+    one = DyadicMatrix.identity(2)
+    assert m.matmul(one) == m and one.matmul(m) == m
+    assert m.matmul(one).array.dtype == object
+    prod = DyadicMatrix([[2 * edge, 2], [0, 2]], 1)
+    assert m.product_equals(one, prod)
+    assert not m.product_equals(one, DyadicMatrix([[2 * edge + 2, 2], [0, 2]], 1))
+    assert m.with_exp(3) == m and m.with_exp(3).int_rows[0][0] == edge << 3
+    assert m.with_exp(3).with_exp(0).int_rows == m.int_rows
+    assert m != DyadicMatrix([[edge + 1, 1], [0, 1]], 0)
+    square = m.matmul(m)
+    assert square.int_rows == [[edge * edge, edge + 1], [0, 1]]
+    assert m.entry(0, 0) == Dyadic(edge) and type(m.entry(0, 0).num) is int
+
+
+def test_with_exp_widens_near_the_dtype_limit():
+    m = DyadicMatrix(np.array([[(1 << 31) - 1, 0], [0, 1 << 30]], dtype=np.int32), 0)
+    assert m.array.dtype == np.int32
+    up = m.with_exp(1)
+    assert up.array.dtype == np.int64 and up.int_rows == [[(1 << 32) - 2, 0], [0, 1 << 31]]
+    assert up == m and up.with_exp(0).array.dtype == np.int32
+    assert DyadicMatrix([[1 << 62]], 0).with_exp(1).array.dtype == object
+
+
+def test_public_results_are_python_types():
+    m = DyadicMatrix([[2, 0], [1, 1]], 1)
+    inv = DyadicMatrix([[1, 0], [-1, 2]], 0)
+    assert m.product_is_identity(inv) is True
+    assert m.product_equals(inv, DyadicMatrix([[1, 1], [0, 1]], 0)) is False
+    values = m.matvec([Dyadic(1), Dyadic(1, 1)]) + m.row_sums() + m.row_dyadics(1)
+    assert all(type(d.num) is int for d in values)

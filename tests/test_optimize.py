@@ -129,6 +129,12 @@ def test_exact_mi_rejects_non_finite_entries(pairs):
         assert str(exc.value) == f"distribution entry 0 is {bad}, not a finite number"
 
 
+def test_exact_mi_rejects_non_numeric_entries(pairs):
+    for bad in (["1", "0"], [None, 1], [b"1", 0]):
+        with pytest.raises(ValueError, match=r"^distribution entry 0 is .*, not a finite number$"):
+            mutual_information_exact(pairs(1)[0], bad)
+
+
 def test_ba_rejects_bad_tol(pairs):
     for tol in (0.0, math.nan):
         with pytest.raises(ValueError):
