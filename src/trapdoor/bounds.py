@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -40,46 +39,94 @@ import numpy as np
 from . import config
 from .channel import ChannelMatrix, build_channel_matrix, invert_channel_matrix
 from .dyadic import Dyadic
-from .matrices import DyadicMatrix, dyadic_vector, exact_product, int_array, reverse_vector, shift_down
+from .matrices import DyadicMatrix, exact_product, int_array, shift_down
 
 
-@dataclass(frozen=True)
-class EntropyVector:
-    """Per-input conditional output entropies of P(n, s0), exact in bits."""
+def _int64_entries(values) -> np.ndarray:
+    """values as a read-only int64 array, without a copy when it is one already.
 
-    n: int
-    s0: int
-    entries: list[Dyadic]
+    Raises ValueError for anything but a flat sequence of integers within
+    int64: floats, bools, strings and larger ints are rejected, not rounded.
+    """
+    flat_ints = isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu"
+    if flat_ints and np.can_cast(values.dtype, np.int64):  # uint64 takes the checked path
+        arr = values.astype(np.int64, copy=False).view()
+    else:
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"entries must be integers, got {v!r}")
+        try:
+            arr = np.array([int(v) for v in values], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("entries must fit in int64") from None
+    arr.flags.writeable = False
+    return arr
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != 1 << self.n:
+
+class _ExactVector:
+    """A weight or entropy vector: one read-only int64 array of 2**n entries.
+
+    ``entries`` is the list export view, built from the array on first
+    access and cached, so every access returns the same list object.
+    """
+
+    __slots__ = ("n", "s0", "array", "_entries")
+
+    def __init__(self, n: int, values) -> None:
+        if len(values) != 1 << n:
             raise ValueError("length must be 2**n")
-        anchor = -config.check_state(self.s0)  # the all-s0 input: first entry or last
-        if self.entries[anchor] != 0:
+        self.n = n
+        self.array = _int64_entries(values)
+        self._entries: list | None = None
+
+    @property
+    def entries(self) -> list:
+        if self._entries is None:
+            self._entries = self._export()
+        return self._entries
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, s0={self.s0})"
+
+
+class EntropyVector(_ExactVector):
+    """Per-input conditional output entropies of P(n, s0), exact in bits.
+
+    ``array`` holds h * 2**n, integers in [0, n 2**n]; ``entries`` is h as
+    a list of Dyadics.
+    """
+
+    def __init__(self, n: int, s0: int, scaled) -> None:
+        super().__init__(n, scaled)
+        self.s0 = config.check_state(s0)
+        if self.array[-self.s0] != 0:  # the all-s0 input: first entry or last
             raise ValueError("the all-s0 input must have zero conditional entropy")
-        if any(d.num < 0 or d.num > self.n << d.exp for d in self.entries):
+        if self.array.min() < 0 or self.array.max() > n << n:
             raise ValueError("entries must lie in [0, n]")
 
+    def _export(self) -> list[Dyadic]:
+        return [Dyadic(v, self.n) for v in self.array.tolist()]
 
-@dataclass(frozen=True)
-class OmegaVector:
-    """Weight vector -P^-1 h; entries are even non-positive integers."""
 
-    n: int
-    s0: int
-    entries: list[int]
+class OmegaVector(_ExactVector):
+    """Weight vector -P^-1 h; entries are even non-positive integers.
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != 1 << self.n:
-            raise ValueError("length must be 2**n")
-        # a weight vector holds at most n/2 + 2 distinct values
-        if any(e > 0 or e % 2 for e in set(self.entries)):
+    ``array`` holds w; ``entries`` is w as a list of Python ints.
+    """
+
+    def __init__(self, n: int, s0: int, entries) -> None:
+        super().__init__(n, entries)
+        a = self.array
+        if a.max() > 0 or (a & 1).any():
             raise ValueError("entries must be even and non-positive")
-        anchor = -config.check_state(self.s0)  # the all-s0 input: first entry or last
-        if self.entries[anchor] != 0:
+        self.s0 = config.check_state(s0)
+        if a[-self.s0] != 0:  # the all-s0 input: first entry or last
             raise ValueError("the all-s0 input must carry weight 0")
-        if self.n % 2 == 0 and self.entries != self.entries[::-1]:
+        if n % 2 == 0 and not np.array_equal(a, a[::-1]):
             raise ValueError("even-length weight vectors must be palindromic")
+
+    def _export(self) -> list[int]:
+        return self.array.tolist()
 
 
 @dataclass(frozen=True)
@@ -118,17 +165,23 @@ def entropy_vector_direct(P: ChannelMatrix) -> EntropyVector:
     """
     # each term m 2**-m is at most 1/2, so m * entry stays in the entries' dtype
     nums = np.concatenate([(v * m).sum(axis=1, dtype=np.int64) for v, m in P.halvings()])
-    e = P.data.exp
-    return EntropyVector(P.n, P.s0, [Dyadic(v, e) for v in nums.tolist()])
+    # a ChannelMatrix may carry a finer scale than 2**n
+    shift = P.data.exp - P.n
+    scaled = nums << -shift if shift < 0 else shift_down(nums, shift)
+    if scaled is None:
+        raise ValueError(f"an entropy is not a multiple of 2**-{P.n}")
+    return EntropyVector(P.n, P.s0, scaled)
 
 
 def entropy_vector_recursive_step(n: int) -> EntropyVector:
-    """h(n, 0) by the one-step block recursion h -> [h, h/2 + rev(h)/2 + 1]."""
+    """h(n, 0) by the one-step block recursion h -> [h, h/2 + rev(h)/2 + 1].
+
+    On H = h * 2**k the step reads H -> [2H, H + rev(H) + 2**(k+1)].
+    """
     config.check_cap(n, config.BOUND_CAP_ENV, _VECTOR_COST)
-    h: list[Dyadic] = [Dyadic(0)]
-    half = Dyadic(1, 1)
-    for _ in range(n):
-        h = h + [half * a + half * b + 1 for a, b in zip(h, h[::-1])]
+    h = np.zeros(1, dtype=np.int64)
+    for k in range(n):
+        h = np.concatenate([h << 1, h + h[::-1] + (2 << k)])
     return EntropyVector(n, 0, h)
 
 
@@ -138,30 +191,25 @@ def entropy_vector_recursive_even(n: int) -> EntropyVector:
     One double step maps h to
         [h, h/2 + r/2 + 1, 3h/4 + r/4 + 3/2, h/4 + 3r/4 + 3/2]
     with r the reversal of h.  The 3/2 constants are pinned by the direct
-    definition at n = 2 (fourth entry 3/2).
+    definition at n = 2 (fourth entry 3/2).  On H = h * 2**k and
+    R = r * 2**k it reads
+        [4H, 2H + 2R + 4 * 2**k, 3H + R + 6 * 2**k, H + 3R + 6 * 2**k].
     """
     config.check_cap(n, config.BOUND_CAP_ENV, _VECTOR_COST)
     if n % 2:
         raise ValueError("the four-block recursion covers even lengths only")
-    h: list[Dyadic] = [Dyadic(0)]
-    half = Dyadic(1, 1)
-    quarter = Dyadic(1, 2)
-    three_q = Dyadic(3, 2)
-    three_half = Dyadic(3, 1)
-    for _ in range(n // 2):
-        rev = h[::-1]
-        h = (
-            list(h)
-            + [half * a + half * b + 1 for a, b in zip(h, rev)]
-            + [three_q * a + quarter * b + three_half for a, b in zip(h, rev)]
-            + [quarter * a + three_q * b + three_half for a, b in zip(h, rev)]
+    h = np.zeros(1, dtype=np.int64)
+    for k in range(0, n, 2):
+        r = h[::-1]
+        h = np.concatenate(
+            [h << 2, 2 * (h + r) + (4 << k), 3 * h + r + (6 << k), h + 3 * r + (6 << k)]
         )
     return EntropyVector(n, 0, h)
 
 
 def entropy_state1(n: int) -> EntropyVector:
     """h(n, 1), the reversal of h(n, 0)."""
-    return EntropyVector(n, 1, reverse_vector(entropy_vector_recursive_step(n).entries))
+    return EntropyVector(n, 1, entropy_vector_recursive_step(n).array[::-1])
 
 
 # -- weight vectors -----------------------------------------------------------
@@ -179,11 +227,10 @@ def omega_direct(
     if (P.n, P.s0) != (h.n, h.s0):
         raise ValueError("channel matrix and entropy vector disagree on (n, s0)")
     inv = invert_channel_matrix(P) if inverse is None else inverse
-    nums, e = dyadic_vector(h.entries)
-    w = shift_down(exact_product(inv.array, nums[:, None])[:, 0], e + inv.exp)
+    w = shift_down(exact_product(inv.array, h.array[:, None])[:, 0], h.n + inv.exp)
     if w is None:
         raise AssertionError("a weight entry is not an integer")
-    return OmegaVector(P.n, P.s0, (-w).tolist())
+    return OmegaVector(P.n, P.s0, -w)
 
 
 def omega_recursive(n: int) -> OmegaVector:
@@ -193,35 +240,29 @@ def omega_recursive(n: int) -> OmegaVector:
     double as [w, rev(w), w - 2, rev(w) - 2] from w(1) = [0, -2].
     """
     config.check_cap(n, config.BOUND_CAP_ENV, _VECTOR_COST)
-    if n % 2 == 0:
-        w = [0]
-        for _ in range(n // 2):
-            shifted = [x - 2 for x in w]
-            w = w + shifted + shifted + w
-    else:
-        w = [0, -2]
-        for _ in range((n - 1) // 2):
-            rev = w[::-1]
-            w = w + rev + [x - 2 for x in w] + [x - 2 for x in rev]
+    w = np.array([0, -2] if n % 2 else [0], dtype=np.int64)
+    for _ in range(n // 2):
+        if n % 2 == 0:
+            w = np.concatenate([w, w - 2, w - 2, w])
+        else:
+            r = w[::-1]
+            w = np.concatenate([w, r, w - 2, r - 2])
     return OmegaVector(n, 0, w)
 
 
 def omega_state1(n: int) -> OmegaVector:
     """w(n, 1) = reversal of w(n, 0)."""
-    return OmegaVector(n, 1, reverse_vector(omega_recursive(n).entries))
+    return OmegaVector(n, 1, omega_recursive(n).array[::-1])
 
 
 # -- bound evaluation ---------------------------------------------------------
 
 
-def exp2_sum(w: Sequence[int]) -> Dyadic:
-    """Exact sum of 2**w_i for integer weights (grouped for speed)."""
-    counts = Counter(w)
-    emax = -min(counts)
-    acc = 0
-    for value, count in counts.items():
-        acc += count << (emax + value)
-    return Dyadic(acc, emax)
+def exp2_sum(w: Sequence[int] | np.ndarray) -> Dyadic:
+    """Exact sum of 2**w_i for integer weights (grouped by distinct value)."""
+    values, counts = np.unique(np.asarray(w, dtype=np.int64), return_counts=True)
+    emax = -int(values.min(initial=0))  # positive weights need no scale
+    return Dyadic(sum(c << (emax + v) for v, c in zip(values.tolist(), counts.tolist())), emax)
 
 
 def _log2_dyadic(S: Dyadic) -> float:
@@ -246,7 +287,7 @@ def upper_bound(n: int, s0: int = 0, include_d: bool | None = None) -> BoundResu
     config.check_per_letter(n)
     s0 = config.check_state(s0)
     w = omega_recursive(n) if s0 == 0 else omega_state1(n)
-    S = exp2_sum(w.entries)
+    S = exp2_sum(w.array)
     c_up = _log2_dyadic(S) / n
     if include_d is None:
         include_d = n <= min(D_AUTO_LIMIT, config.cap(config.MATRIX_CAP_ENV))
@@ -289,14 +330,15 @@ def d_vector(n: int, s0: int = 0, inverse: DyadicMatrix | None = None) -> list[D
     if inverse is None:
         inverse = invert_channel_matrix(build_channel_matrix(n, s0))
     # d_j = sum_i 2**w_i inv_ij: one row vector times the inverse's integer array
-    top = -min(w.entries)
-    x = np.left_shift(1, np.array(w.entries) + top)[None, :]
+    top = -int(w.array.min())
+    x = np.left_shift(1, w.array + top)[None, :]
     e = top + inverse.exp
     return [Dyadic(v, e) for v in exact_product(x, inverse.array)[0].tolist()]
 
 
-def _exact_distribution(p: Sequence) -> tuple[list[Fraction], list[int]]:
-    """p as exact Fractions, and as integers p_int = p * lcm of the denominators.
+def _exact_distribution(p: Sequence) -> tuple[list[Fraction], np.ndarray]:
+    """p as exact Fractions, and as one integer array p_int = p * lcm of the
+    denominators (int64, or Python ints past int64).
 
     Entries may be ints, Fractions, Dyadics, or floats (floats are dyadic, so
     the conversion is lossless).  Non-finite and non-numeric entries (strings,
@@ -311,7 +353,7 @@ def _exact_distribution(p: Sequence) -> tuple[list[Fraction], list[int]]:
         except (OverflowError, ValueError, TypeError):
             raise ValueError(f"distribution entry {i} is {v}, not a finite number") from None
     scale = math.lcm(*(f.denominator for f in pf))
-    return pf, [f.numerator * (scale // f.denominator) for f in pf]
+    return pf, int_array([f.numerator * (scale // f.denominator) for f in pf])
 
 
 def constraint_check(
@@ -333,7 +375,7 @@ def constraint_check(
     if len(p) != P.dim:
         raise ValueError("distribution length must be 2**n")
     _, p_int = _exact_distribution(p)
-    return bool((exact_product(int_array([p_int]), P.data.array) >= 0).all())
+    return bool((exact_product(p_int[None, :], P.data.array) >= 0).all())
 
 
 def golden_ratio_reference() -> float:

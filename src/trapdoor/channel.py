@@ -57,9 +57,6 @@ class ChannelMatrix:
         """0-based row index of an input bit string."""
         return int(config.check_bits(bits, "input", self.n) or "0", 2)
 
-    def float_rows(self) -> list[list[float]]:
-        return (self.data.array * 2.0**-self.data.exp).tolist()
-
     def validate(self) -> None:
         """Check stochasticity and the power-of-two entry property; raises on failure."""
         if any(s != 1 for s in self.data.row_sums()):

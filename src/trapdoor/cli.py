@@ -14,6 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bounds, config, enumeration, fractal, optimize, serialization, verify
 from .channel import build_channel_matrix, invert_channel_matrix, invert_two_step
 from .matrices import DyadicMatrix
@@ -150,7 +152,7 @@ def _cmd_vector(args: argparse.Namespace) -> int:
     else:
         name, vec = "omega", bounds.omega_direct(P, vec)
         recursion = bounds.omega_recursive if args.s == 0 else bounds.omega_state1
-    agree = vec.entries == recursion(args.n).entries
+    agree = np.array_equal(vec.array, recursion(args.n).array)
     if args.format == "json":
         report = {"n": args.n, "s0": args.s, "entries": vec.entries, "recursion_agrees": agree}
         _emit(serialization.dumps_json(report), args.o)  # dyadics as "a/2^e" strings

@@ -47,13 +47,6 @@ class Dyadic:
             return cls(1 << k, 0)
         return cls(1, -k)
 
-    @classmethod
-    def from_fraction(cls, fr: Fraction) -> "Dyadic":
-        den = fr.denominator
-        if den & (den - 1):
-            raise ValueError(f"{fr} is not dyadic (denominator not a power of two)")
-        return cls(fr.numerator, den.bit_length() - 1)
-
     # -- conversions --------------------------------------------------------
 
     def as_fraction(self) -> Fraction:
@@ -64,16 +57,6 @@ class Dyadic:
 
     def __bool__(self) -> bool:
         return self.num != 0
-
-    def is_pow2(self) -> bool:
-        """True iff the value is +2**k for some integer k."""
-        return self.num > 0 and (self.num & (self.num - 1)) == 0
-
-    def log2(self) -> int:
-        """Exact base-2 logarithm; the value must be a positive power of two."""
-        if not self.is_pow2():
-            raise ValueError(f"{self} is not a power of two")
-        return self.num.bit_length() - 1 - self.exp
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -152,9 +152,6 @@ class ShapeGrid:
         m = int(self.array[row, col])
         return Dyadic(0) if m == EMPTY else Dyadic(1, m)
 
-    def dyadic_rows(self) -> list[list[Dyadic]]:
-        return [[Dyadic(0) if m == EMPTY else Dyadic(1, m) for m in row] for row in self.codes]
-
     def nonzero_count(self) -> int:
         return int(np.count_nonzero(self.array != EMPTY))
 

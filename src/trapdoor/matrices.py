@@ -185,12 +185,6 @@ def shift_down(x: np.ndarray, k: int) -> np.ndarray | None:
     return x >> k
 
 
-def dyadic_vector(vec: Sequence[Dyadic]) -> tuple[np.ndarray, int]:
-    """(nums, e) with vec[i] == nums[i] / 2**e, e the largest exponent in vec."""
-    e = max((d.exp for d in vec), default=0)
-    return int_array([d.num << (e - d.exp) for d in vec]), e
-
-
 class DyadicMatrix:
     """Square exact matrix; entry (i, j) equals ``array[i, j] / 2**exp``.
 
@@ -246,9 +240,6 @@ class DyadicMatrix:
     def row_dyadics(self, i: int) -> list[Dyadic]:
         e = self.exp
         return [Dyadic(v, e) for v in self.array[i].tolist()]
-
-    def to_lists(self) -> list[list[Dyadic]]:
-        return [self.row_dyadics(i) for i in range(self.dim)]
 
     # -- scale handling ------------------------------------------------------
 
@@ -338,9 +329,10 @@ class DyadicMatrix:
         """Exact matrix-vector product."""
         if len(vec) != self.dim:
             raise ValueError("dimension mismatch")
-        nums, e = dyadic_vector(vec)
+        e = max((d.exp for d in vec), default=0)  # vec[i] == nums[i] / 2**e
+        nums = int_array([[d.num << (e - d.exp)] for d in vec])
         e += self.exp
-        return [Dyadic(v, e) for v in exact_product(self.array, nums[:, None])[:, 0].tolist()]
+        return [Dyadic(v, e) for v in exact_product(self.array, nums)[:, 0].tolist()]
 
 
 def reverse_vector(v: Sequence) -> list:

@@ -26,7 +26,7 @@ import numpy as np
 from . import config
 from .bounds import _exact_distribution, closed_form
 from .channel import ChannelMatrix, build_channel_matrix
-from .matrices import exact_product, int_array
+from .matrices import exact_product
 
 
 class ConvergenceError(RuntimeError):
@@ -119,9 +119,10 @@ def mutual_information_exact(P: ChannelMatrix, p: Sequence) -> Fraction:
         raise ValueError("distribution has a negative entry")
     # p_int sums to the lcm scale of p, so q_j = q_int[j] / (scale * 2**exp)
     # and the likelihood ratio P_ij / q_j is a[i, j] * scale / q_int[j]
-    scale = sum(p_int)
     a = P.data.array
-    q_int = exact_product(int_array([p_int]), a)[0].tolist()
+    q_int = exact_product(p_int[None, :], a)[0].tolist()
+    p_int = p_int.tolist()
+    scale = sum(p_int)
     total = 0
     for i, pi in enumerate(p_int):
         if not pi:

@@ -32,23 +32,18 @@ def format_dyadic(d: Dyadic) -> str:
     return f"{d.num}/2^{d.exp}"
 
 
-def _dyadic_parts(s: str) -> tuple[int, int]:
-    """(numerator, exponent) spelled by "a/2^e" or a plain integer, not yet normalized."""
+def parse_dyadic(s: str) -> Dyadic:
+    """Inverse of format_dyadic; also accepts plain integers."""
     s = s.strip()
     if not s:
         raise ValueError("empty dyadic string")
     m = _DYADIC_RE.match(s)
     if m:
-        return int(m.group(1)), int(m.group(2))
+        return Dyadic(int(m.group(1)), int(m.group(2)))
     try:
-        return int(s), 0
+        return Dyadic(int(s))
     except ValueError:
         raise ValueError(f"malformed dyadic string {s!r}") from None
-
-
-def parse_dyadic(s: str) -> Dyadic:
-    """Inverse of format_dyadic; also accepts plain integers."""
-    return Dyadic(*_dyadic_parts(s))
 
 
 Matrix = Union[ChannelMatrix, DyadicMatrix]
@@ -82,25 +77,6 @@ def write_matrix_csv(matrix: Matrix, path: Union[str, Path]) -> None:
     Path(path).write_text(matrix_csv_text(matrix), encoding="utf-8")
 
 
-def _parse_row(cells: list[str]) -> tuple[list[int], int]:
-    """Integer row and exponent e with cell j == row[j] / 2**e, e the largest
-    exponent of a cell in lowest terms (the scale Dyadic rows would share)."""
-    nums = [0] * len(cells)
-    parts = []
-    for j, c in enumerate(cells):
-        if c != "0":
-            num, e = _dyadic_parts(c)
-            if num:
-                if e and not num & 1:  # lowest terms, as a Dyadic stores it
-                    shift = min(e, (num & -num).bit_length() - 1)
-                    num, e = num >> shift, e - shift
-                parts.append((j, num, e))
-    row_exp = max((e for _, _, e in parts), default=0)
-    for j, num, e in parts:
-        nums[j] = num << (row_exp - e)
-    return nums, row_exp
-
-
 def read_matrix_csv(path: Union[str, Path]) -> Matrix:
     """Parse a matrix written by write_matrix_csv.
 
@@ -126,23 +102,24 @@ def read_matrix_csv(path: Union[str, Path]) -> Matrix:
         raise ValueError(f"{p}: header {lines[0]!r} has s0={s0_raw}, expected 0, 1 or general")
     if len(lines) - 1 != dim:
         raise ValueError(f"{p}: expected {dim} rows, found {len(lines) - 1}")
-    rows: list[list[int]] = []
-    row_exps = []
+    # each distinct cell text is parsed once; a matrix has few of them
+    parsed: dict[str, Dyadic] = {}
+    rows = []
     for ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != dim:
             raise ValueError(f"{p}: expected {dim} columns, found {len(cells)}")
-        try:
-            row, row_exp = _parse_row(cells)
-        except ValueError as exc:
-            raise ValueError(f"{p}: {exc}") from None
-        rows.append(row)
-        row_exps.append(row_exp)
-    exp = max(row_exps, default=0)
-    for i, row_exp in enumerate(row_exps):
-        if row_exp < exp:
-            rows[i] = [v << (exp - row_exp) for v in rows[i]]
-    data = DyadicMatrix(rows, exp)
+        for c in cells:
+            if c not in parsed:
+                try:
+                    parsed[c] = parse_dyadic(c)
+                except ValueError as exc:
+                    raise ValueError(f"{p}: {exc}") from None
+        rows.append(cells)
+    # the shared scale is the largest exponent of a cell in lowest terms
+    exp = max((d.exp for d in parsed.values()), default=0)
+    value = {c: d.num << (exp - d.exp) for c, d in parsed.items()}
+    data = DyadicMatrix([[value[c] for c in cells] for cells in rows], exp)
     if s0_raw in ("0", "1"):
         matrix = ChannelMatrix(n, int(s0_raw), data)
         try:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+import numpy as np
+
 from . import bounds, config, enumeration, fractal, optimize
 from .channel import (
     ChannelMatrix,
@@ -29,7 +31,6 @@ from .channel import (
     exchange_conjugate,
     invert_channel_matrix,
     invert_two_step,
-    reverse_vector,
 )
 from .dyadic import Dyadic
 from .matrices import DyadicMatrix
@@ -113,12 +114,12 @@ def _check_entropy_recursions(ctx: _Context) -> str:
     for n in range(ctx.max_n + 1):
         direct0 = bounds.entropy_vector_direct(ctx.matrix(n, 0))
         step = bounds.entropy_vector_recursive_step(n)
-        assert step.entries == direct0.entries, f"one-step h recursion differs at n={n}"
+        assert np.array_equal(step.array, direct0.array), f"one-step h recursion differs at n={n}"
         if n % 2 == 0:
             even = bounds.entropy_vector_recursive_even(n)
-            assert even.entries == direct0.entries, f"even h recursion differs at n={n}"
+            assert np.array_equal(even.array, direct0.array), f"even h recursion differs at n={n}"
         direct1 = bounds.entropy_vector_direct(ctx.matrix(n, 1))
-        assert direct1.entries == reverse_vector(direct0.entries), (
+        assert np.array_equal(direct1.array, direct0.array[::-1]), (
             f"h reversal symmetry fails at n={n}"
         )
     return f"h recursions match the definition; h(n,1) is h(n,0) reversed, n <= {ctx.max_n}"
@@ -131,8 +132,8 @@ def _check_omega_recursions(ctx: _Context) -> str:
             P = ctx.matrix(n, s0)
             h = bounds.entropy_vector_direct(P)
             direct = bounds.omega_direct(P, h, inverse=ctx.inverse(n, s0))
-            expect = w.entries if s0 == 0 else list(reversed(w.entries))
-            assert direct.entries == expect, f"omega differs at n={n}, s0={s0}"
+            expect = w.array if s0 == 0 else w.array[::-1]
+            assert np.array_equal(direct.array, expect), f"omega differs at n={n}, s0={s0}"
     return f"omega recursion equals -P^-1 h for both states, n <= {ctx.max_n}"
 
 
@@ -142,7 +143,7 @@ def _check_state_coupling_identity(ctx: _Context) -> str:
         P1 = ctx.matrix(n, 1)
         h0 = bounds.entropy_vector_direct(ctx.matrix(n, 0)).entries
         lhs = P1.data.matvec(ctx.inverse(n, 0).matvec(h0))
-        assert lhs == reverse_vector(h0), f"coupling identity fails at n={n}"
+        assert lhs == h0[::-1], f"coupling identity fails at n={n}"
     return "P(2n,1) P(2n,0)^-1 h equals reversed h, even n <= 8"
 
 
@@ -151,7 +152,7 @@ def _check_bound_identities(ctx: _Context) -> str:
     prev = 0.0
     for n in range(1, top + 1):
         m = (n + 1) // 2
-        s = bounds.exp2_sum(bounds.omega_recursive(n).entries)
+        s = bounds.exp2_sum(bounds.omega_recursive(n).array)
         assert s == Dyadic(5**m, m + n % 2), f"sum 2^w differs from the closed form at n={n}"
         if n % 2:
             c_odd = bounds.closed_form(n)

@@ -4,10 +4,11 @@ Everything here is deliberately naive and Fraction-based: channel matrices
 from the block recursion in plain Fractions, Gauss-Jordan inversion, direct
 entropy sums, a physical simulation of the ball process, and a double-loop
 mutual information.  None of it shares code with the package.  The packed
-big-integer product, the list-backed channel and inversion ladders and the
-depth-first output enumeration are the package's former implementations,
-kept here as references for the float64 products, the array-backed ladders
-and the level-wise enumeration.
+big-integer product, the list-backed channel and inversion ladders, the
+list-backed h and w recursions and the depth-first output enumeration are
+the package's former implementations, kept here as references for the
+float64 products, the array-backed ladders and vector recursions and the
+level-wise enumeration.
 """
 
 from __future__ import annotations
@@ -238,6 +239,50 @@ def entropy_direct_lists(rows: list[list[int]], e: int) -> list[tuple[int, int]]
     Every non-zero entry v = 2**(e-m) contributes m * v.
     """
     return [(sum((e + 1 - v.bit_length()) * v for v in row if v), e) for row in rows]
+
+
+def entropy_step_lists(n: int) -> list:
+    """h(n, 0) as Dyadics by the one-step recursion h -> [h, h/2 + rev(h)/2 + 1] on lists."""
+    from trapdoor.dyadic import Dyadic
+
+    h = [Dyadic(0)]
+    half = Dyadic(1, 1)
+    for _ in range(n):
+        h = h + [half * a + half * b + 1 for a, b in zip(h, h[::-1])]
+    return h
+
+
+def entropy_even_lists(n: int) -> list:
+    """h(n, 0) as Dyadics, even n, by the four-block recursion on lists."""
+    from trapdoor.dyadic import Dyadic
+
+    h = [Dyadic(0)]
+    half, quarter, three_q, three_half = Dyadic(1, 1), Dyadic(1, 2), Dyadic(3, 2), Dyadic(3, 1)
+    for _ in range(n // 2):
+        rev = h[::-1]
+        h = (
+            list(h)
+            + [half * a + half * b + 1 for a, b in zip(h, rev)]
+            + [three_q * a + quarter * b + three_half for a, b in zip(h, rev)]
+            + [quarter * a + three_q * b + three_half for a, b in zip(h, rev)]
+        )
+    return h
+
+
+def omega_lists(n: int) -> list[int]:
+    """w(n, 0) by the block recursions on lists: even n doubles as
+    [w, w - 2, w - 2, w] from [0], odd n as [w, rev(w), w - 2, rev(w) - 2] from [0, -2]."""
+    if n % 2 == 0:
+        w = [0]
+        for _ in range(n // 2):
+            shifted = [x - 2 for x in w]
+            w = w + shifted + shifted + w
+    else:
+        w = [0, -2]
+        for _ in range((n - 1) // 2):
+            rev = w[::-1]
+            w = w + rev + [x - 2 for x in w] + [x - 2 for x in rev]
+    return w
 
 
 def invert_ladder_lists(n: int, s0: int) -> list[list[int]]:

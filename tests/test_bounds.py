@@ -2,12 +2,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import (
     channel_fractions,
+    entropy_even_lists,
     entropy_fractions,
+    entropy_step_lists,
     gauss_jordan_inverse,
+    omega_lists,
     output_masses_nonnegative,
 )
 from trapdoor.bounds import (
@@ -89,9 +93,75 @@ def test_entropy_state1_is_reversal(n, pairs):
 
 def test_entropy_vector_validation():
     with pytest.raises(ValueError):
-        EntropyVector(1, 0, [ONE, ONE])  # all-zeros input must carry 0
+        EntropyVector(1, 0, [2, 2])  # all-zeros input must carry 0 (entries are h * 2**n)
     with pytest.raises(ValueError):
-        EntropyVector(1, 0, [Z, Dyadic(3, 0)])  # above n
+        EntropyVector(1, 0, [0, 6])  # 3, above n
+
+
+@pytest.mark.parametrize("n", range(0, 15))
+def test_array_recursions_equal_list_recursions(n):
+    h = entropy_step_lists(n)
+    assert entropy_vector_recursive_step(n).entries == h
+    assert entropy_state1(n).entries == h[::-1]
+    if n % 2 == 0:
+        assert entropy_vector_recursive_even(n).entries == entropy_even_lists(n)
+    w = omega_lists(n)
+    assert omega_recursive(n).entries == w
+    assert omega_state1(n).entries == w[::-1]
+
+
+def test_recursions_agree_at_the_bound_cap():
+    step, even = entropy_vector_recursive_step(20), entropy_vector_recursive_even(20)
+    assert np.array_equal(step.array, even.array)
+    assert step.array.max() <= 20 << 20
+    assert exp2_sum(omega_recursive(20).array) == closed_form_S(20)
+    assert exp2_sum(omega_state1(19).array) == closed_form_S(19)
+
+
+@pytest.mark.parametrize(
+    "make", [entropy_vector_recursive_step, entropy_state1, omega_recursive, omega_state1]
+)
+def test_vectors_hold_one_read_only_int64_array(make):
+    v = make(5)
+    assert v.array.dtype == np.int64 and v.array.shape == (32,)
+    assert not v.array.flags.writeable
+    with pytest.raises(ValueError):
+        v.array[0] = 1
+    assert v.entries is v.entries  # one cached list view
+
+
+def test_vectors_accept_int_sequences_and_integer_arrays():
+    for w in ([-2, 0], (-2, 0), [np.int32(-2), 0], np.array([-2, 0], dtype=np.int8),
+              np.array([-2, 0], dtype=object)):
+        v = OmegaVector(1, 1, w)
+        assert v.array.dtype == np.int64 and v.entries == [-2, 0]
+    for h in ([0, 2], np.array([0, 2], dtype=np.uint8), np.array([0, 2], dtype=np.uint64)):
+        assert EntropyVector(1, 0, h).entries == [Z, ONE]
+
+
+_NOT_INT64 = {
+    "float": [-2.5, 0],
+    "numpy float": [np.float64(-2.0), 0],
+    "bool": [True, 0],
+    "numpy bool": [np.bool_(False), 0],
+    "str": ["0", 0],
+    "None": [None, 0],
+    "2**63": [2**63, 0],
+    "-2**70": [-(2**70), 0],
+    "float array": np.array([-2.5, 0.0]),
+    "bool array": np.array([True, False]),
+    "uint64 array past int64": np.array([2**63, 0], dtype=np.uint64),
+    "2-d array": np.zeros((2, 1), dtype=np.int64),
+    "str array": np.array(["0", "0"]),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_NOT_INT64))
+@pytest.mark.parametrize("cls", [OmegaVector, EntropyVector])
+def test_vectors_reject_entries_that_are_not_int64_integers(cls, bad):
+    # rejected, never truncated or wrapped, before any other check sees them
+    with pytest.raises(ValueError, match=r"^entries must (be integers, got|fit in int64)"):
+        cls(1, 1, _NOT_INT64[bad])
 
 
 # -- weight vectors -----------------------------------------------------------
@@ -171,6 +241,8 @@ def test_exp2_sum_small():
     assert exp2_sum([0, -2]) == Dyadic(5, 2)
     assert exp2_sum([0, -2, -2, 0]) == Dyadic(5, 1)
     assert exp2_sum([0]) == ONE
+    assert exp2_sum([1, 0]) == 3 and exp2_sum(np.array([3])) == 8
+    assert exp2_sum([]) == Z
 
 
 @pytest.mark.parametrize(

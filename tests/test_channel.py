@@ -32,22 +32,25 @@ ZERO = Dyadic(0)
 
 def test_initial_matrix():
     P = build_channel_matrix(0, 0)
-    assert P.data.to_lists() == [[ONE]]
+    assert (P.data.int_rows, P.data.exp) == ([[1]], 0)
 
 
 def test_length_one_matrices():
-    assert build_channel_matrix(1, 0).data.to_lists() == [[ONE, ZERO], [H, H]]
-    assert build_channel_matrix(1, 1).data.to_lists() == [[H, H], [ZERO, ONE]]
+    assert build_channel_matrix(1, 0).data.int_rows == [[2, 0], [1, 1]]
+    assert build_channel_matrix(1, 1).data.int_rows == [[1, 1], [0, 2]]
+    assert build_channel_matrix(1, 0).data.exp == 1
 
 
 def test_length_two_matrix():
-    expected = [
-        [ONE, ZERO, ZERO, ZERO],
-        [H, H, ZERO, ZERO],
-        [Q, Q, H, ZERO],
-        [ZERO, H, Q, Q],
+    expected = [  # quarters
+        [4, 0, 0, 0],
+        [2, 2, 0, 0],
+        [1, 1, 2, 0],
+        [0, 2, 1, 1],
     ]
-    assert build_channel_matrix(2, 0).data.to_lists() == expected
+    P = build_channel_matrix(2, 0)
+    assert (P.data.int_rows, P.data.exp) == (expected, 2)
+    assert P.row_dyadics(2) == [Q, Q, H, ZERO]
 
 
 @pytest.mark.parametrize("n", range(0, 9))

@@ -186,7 +186,7 @@ STATE_ENTRY_POINTS = {
     "feasibility": lambda s: enumeration.feasibility("01", "01", s),
     "channel_row_from_enumeration": lambda s: enumeration.channel_row_from_enumeration(2, s, "01"),
     "trapdoor_ifs": lambda s: fractal.trapdoor_ifs(s),
-    "EntropyVector": lambda s: bounds.EntropyVector(1, s, [Dyadic(0), Dyadic(0)]),
+    "EntropyVector": lambda s: bounds.EntropyVector(1, s, [0, 0]),
     "OmegaVector": lambda s: bounds.OmegaVector(1, s, [0, 0]),
 }
 

@@ -55,14 +55,6 @@ def test_comparisons_and_hash():
     assert hash(Dyadic(1, 1)) == hash(Fraction(1, 2))
 
 
-def test_log2_and_pow2_detection():
-    assert Dyadic(1, 3).log2() == -3
-    assert Dyadic(8, 0).log2() == 3
-    assert not Dyadic(3, 1).is_pow2()
-    with pytest.raises(ValueError):
-        Dyadic(3, 0).log2()
-
-
 def test_str_forms():
     assert str(Dyadic(5, 1)) == "5/2"
     assert str(Dyadic(-3, 1)) == "-3/2"
@@ -97,4 +89,6 @@ def test_normal_form_invariant(d):
 
 @given(dyadics)
 def test_round_trip_fraction(d):
-    assert Dyadic.from_fraction(d.as_fraction()) == d
+    f = d.as_fraction()
+    assert f == Fraction(d.num, 1 << d.exp) and f.denominator == 1 << d.exp
+    assert Dyadic(f.numerator, f.denominator.bit_length() - 1) == d

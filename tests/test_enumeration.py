@@ -64,7 +64,7 @@ def test_likelihoods_sum_to_one_and_are_halving_powers(case):
     dist = generate_outputs(bits, s0)
     total = Dyadic(0)
     for p in dist.outputs.values():
-        assert p.is_pow2() and 0 < p <= 1
+        assert p.num == 1 and 0 < p <= 1  # a power of two: 2**-m in lowest terms
         total = total + p
     assert total == 1
     assert len(dist.outputs) <= 1 << len(bits)

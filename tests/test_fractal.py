@@ -186,7 +186,7 @@ def test_grid_validation():
         ShapeGrid(1, [[0, 2], [0, 0]])  # code 2 means z = 1/4, too fine for k=1
     g = ShapeGrid(1, [[0, EMPTY], [1, 1]])
     assert g.nonzero_count() == 3
-    assert g.dyadic_rows()[1] == [Dyadic(1, 1), Dyadic(1, 1)]
+    assert [g.z(1, c) for c in range(2)] == [Dyadic(1, 1), Dyadic(1, 1)]
 
 
 # -- rendering ----------------------------------------------------------------

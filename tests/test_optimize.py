@@ -48,7 +48,7 @@ def test_mi_matches_reference(pairs):
         for P in pairs(n):
             for _ in range(10 if n <= 3 else 3):
                 p = rng.dirichlet(np.ones(P.dim))
-                ref = mutual_information_reference(P.float_rows(), list(p), n)
+                ref = mutual_information_reference((P.data.array * 2.0**-P.data.exp).tolist(), list(p), n)
                 assert abs(mutual_information(P, p) - ref) < 1e-12
 
 

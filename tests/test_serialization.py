@@ -1,4 +1,5 @@
 import json
+import re
 import zlib
 
 import pytest
@@ -105,6 +106,17 @@ def test_read_errors(tmp_path):
     not_stochastic.write_text("n=1,s0=0,dim=2\n1/2^0,1/2^0\n0,1/2^0\n")
     with pytest.raises(ValueError, match="channel"):
         read_matrix_csv(not_stochastic)
+
+
+def test_read_brings_cells_to_lowest_terms(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("n=1,s0=general,dim=2\n2/2^2,1/2^1\n 4/2^3,0/2^5\n")
+    back = read_matrix_csv(path)
+    assert (back.int_rows, back.exp) == ([[1, 1], [1, 0]], 1)
+    path.write_text("n=1,s0=general,dim=2\n1/2^1,x\n1/2^1,x\n")
+    for _ in range(2):  # a failed parse is reported again, never remembered
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed dyadic string 'x'")):
+            read_matrix_csv(path)
 
 
 @pytest.mark.parametrize("s0", ["2", "banana", ""])
