@@ -119,9 +119,21 @@ _MATRIX_COST = "storage is 4**{n} entries"
 
 
 def build_channel_matrix(n: int, s0: int) -> ChannelMatrix:
-    """Build P(n, s0) by n applications of the block recursion."""
+    """Build P(n, s0) by n applications of the block recursion.
+
+    Both states are needed up to level n - 1; only the requested state's
+    top level is assembled, so P(n, 1 - s0) is never allocated.
+    """
     s0 = config.check_state(s0)
-    return channel_pair(n)[s0]
+    config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
+    if n == 0:
+        return ChannelMatrix(0, s0, DyadicMatrix.identity(1))
+    a0, a1 = deque(_ladder(n - 1), maxlen=1)[0]
+    if s0 == 0:
+        grid = [[(2, a0), None], [(1, a1), (1, a0)]]
+    else:
+        grid = [[(1, a1), (1, a0)], [None, (2, a1)]]
+    return ChannelMatrix(n, s0, DyadicMatrix(_assemble(grid), n))
 
 
 def channel_pair(n: int) -> tuple[ChannelMatrix, ChannelMatrix]:

@@ -3,7 +3,8 @@
 Everything here is deliberately naive and Fraction-based: channel matrices
 from the block recursion in plain Fractions, Gauss-Jordan inversion, direct
 entropy sums, a physical simulation of the ball process, and a double-loop
-mutual information.  None of it shares code with the package.  The packed
+mutual information, and a PNG decoder.  None of it shares code with the
+package.  The packed
 big-integer product, the list-backed channel and inversion ladders, the
 list-backed h and w recursions and the depth-first output enumeration are
 the package's former implementations, kept here as references for the
@@ -13,6 +14,8 @@ level-wise enumeration.
 
 from __future__ import annotations
 
+import struct
+import zlib
 from fractions import Fraction
 
 
@@ -376,3 +379,28 @@ def generate_outputs_dfs(bits: str, s0: int) -> dict:
 
     walk(0, [], str(s0), 0)
     return acc
+
+
+def decode_png(data: bytes) -> tuple[int, int, bytes]:
+    """Width, height and pixels of an 8-bit grayscale PNG with one IDAT chunk.
+
+    Checks the signature, every chunk's CRC, the IHDR fields, and that every
+    row carries filter byte 0 (None), as the package's writer emits them.
+    """
+    assert data[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = [], 8
+    while pos < len(data):
+        (length,) = struct.unpack(">I", data[pos : pos + 4])
+        tag, payload = data[pos + 4 : pos + 8], data[pos + 8 : pos + 8 + length]
+        (crc,) = struct.unpack(">I", data[pos + 8 + length : pos + 12 + length])
+        assert zlib.crc32(tag + payload) == crc, tag
+        chunks.append((tag, payload))
+        pos += 12 + length
+    assert [tag for tag, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    width, height, depth, color, comp, filt, interlace = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert (depth, color, comp, filt, interlace) == (8, 0, 0, 0, 0)
+    raw = zlib.decompress(chunks[1][1])
+    assert len(raw) == height * (width + 1)
+    rows = [raw[y * (width + 1) : (y + 1) * (width + 1)] for y in range(height)]
+    assert all(row[0] == 0 for row in rows)
+    return width, height, b"".join(row[1:] for row in rows)

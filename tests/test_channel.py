@@ -15,6 +15,7 @@ from trapdoor.bounds import entropy_vector_direct
 from trapdoor.channel import (
     _assemble,
     build_channel_matrix,
+    channel_pair,
     disjoint_support_check,
     exchange_conjugate,
     invert_channel_matrix,
@@ -206,3 +207,13 @@ def test_disjoint_support(pairs):
 def test_exchange_is_involution_property(n, s0):
     P = build_channel_matrix(n, s0)
     assert exchange_conjugate(exchange_conjugate(P)) == P
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_single_state_build_equals_pair(n):
+    pair = channel_pair(n)
+    for s0 in (0, 1):
+        P = build_channel_matrix(n, s0)
+        assert P == pair[s0]
+        assert P.data.exp == pair[s0].data.exp == n
+        assert P.data.array.dtype == pair[s0].data.array.dtype

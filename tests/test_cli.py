@@ -7,6 +7,8 @@ from trapdoor import bounds, enumeration, fractal, optimize, verify
 from trapdoor.cli import main
 from trapdoor.serialization import read_matrix_csv
 
+from oracles import decode_png
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -248,3 +250,23 @@ def test_cap_errors_exit_2(argv, env, monkeypatch, capsys):
     assert code == 2
     assert err.startswith("error: ") and "exceeds the cap" in err and env in err
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        *(("fractal", "-s", s, "--mode", m) for s in ("0", "1") for m in ("linear", "log", "binary")),
+        ("sierpinski",),
+    ],
+)
+def test_png_decodes_to_pgm_pixels(tmp_path, capsys, command):
+    for resolution in range(9):
+        args = (*command, "--resolution", str(resolution))
+        pgm, png = tmp_path / "a.pgm", tmp_path / "a.png"
+        assert run(capsys, *args, "-o", str(pgm))[0] == 0
+        assert run(capsys, *args, "-o", str(png))[0] == 0
+        side = 1 << resolution
+        header = b"P5\n%d %d\n255\n" % (side, side)
+        data = pgm.read_bytes()
+        assert data.startswith(header)
+        assert decode_png(png.read_bytes()) == (side, side, data[len(header) :])

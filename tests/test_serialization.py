@@ -3,12 +3,13 @@ import re
 import zlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from trapdoor.bounds import upper_bound
 from trapdoor.channel import ChannelMatrix, build_channel_matrix
 from trapdoor.dyadic import Dyadic
 from trapdoor.enumeration import generate_outputs
+from trapdoor import serialization
 from trapdoor.matrices import DyadicMatrix
 from trapdoor.serialization import (
     ba_report,
@@ -24,6 +25,8 @@ from trapdoor.serialization import (
     write_pgm,
     write_png,
 )
+
+from oracles import decode_png
 
 dyadics = st.builds(
     Dyadic,
@@ -207,3 +210,44 @@ def test_write_png_from_pgm(tmp_path):
     assert out.read_bytes().startswith(b"\x89PNG")
     with pytest.raises(ValueError):
         pgm_to_png(b"P2\n1 1\n255\n0")
+
+
+@st.composite
+def gray_images(draw):
+    width = draw(st.integers(min_value=1, max_value=70))
+    height = draw(st.integers(min_value=1, max_value=70))
+    return width, height, draw(st.binary(min_size=width * height, max_size=width * height))
+
+
+@given(gray_images(), st.integers(min_value=1, max_value=400))
+@example((5, 7, bytes(range(35))), 12)  # blocks of 2 rows: 2 + 2 + 2 + 1
+def test_png_round_trip_in_blocks(image, block_bytes):
+    width, height, pixels = image
+    original = serialization._PNG_BLOCK_BYTES
+    serialization._PNG_BLOCK_BYTES = block_bytes  # many blocks, the last one often partial
+    try:
+        img = png_bytes(pixels, width, height)
+    finally:
+        serialization._PNG_BLOCK_BYTES = original
+    assert decode_png(img) == (width, height, pixels)
+
+
+@pytest.mark.parametrize(
+    "pixels, width, height, bad",
+    [
+        (b"", 0, 0, "0"),
+        (bytes(4), -2, -2, "-2"),
+        (bytes(4), 2.0, 2, "2.0"),
+        (bytes(4), 2, "2", "'2'"),
+        (b"", 1 << 31, 0, str(1 << 31)),
+    ],
+    ids=["zero", "negative", "float", "string", "too_wide"],
+)
+def test_png_bytes_rejects_bad_dimensions(pixels, width, height, bad):
+    with pytest.raises(ValueError, match=f"PNG (width|height) must be an integer from 1 to 2147483647, got {bad}$"):
+        png_bytes(pixels, width, height)
+
+
+def test_pgm_to_png_rejects_empty_image():
+    with pytest.raises(ValueError, match="PNG width must be an integer from 1 to 2147483647, got 0"):
+        pgm_to_png(b"P5\n0 0\n255\n")
