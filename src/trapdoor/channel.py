@@ -11,13 +11,14 @@ recursions
                  [ P(n, 1)/2,    P(n, 0)/2 ]]                    [ 0,         P(n,1)   ]]
 
 with P(0, 0) = P(0, 1) = [1], so every entry is 0 or a power of 1/2 and rows
-sum to exactly 1.  Inverses are computed by the block-triangular inversion
-formula applied recursively, entirely in exact integer arithmetic.
+sum to exactly 1.  P(n, 1) = J P(n, 0) J with J the exchange matrix, so only
+state 0 is computed: P(n, 1) and its inverse are the state-0 arrays read with
+both axes reversed, views that share their memory.  Inverses come from the
+block-triangular inversion formula applied recursively, in exact integers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import islice
 from typing import Iterator, Union
 
@@ -61,9 +62,8 @@ class ChannelMatrix:
         """Check stochasticity and the power-of-two entry property; raises on failure."""
         if any(s != 1 for s in self.data.row_sums()):
             raise ValueError("row does not sum to exactly 1")
-        a = self.data.array
-        if ((a < 0) | (a & (a - 1) != 0)).any():
-            raise ValueError("entry is neither 0 nor a power of 1/2")
+        for _ in self.halvings():  # raises on an entry that is neither 0 nor a power of two
+            pass
 
     def halvings(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Blocks of consecutive rows as (entries, m), each non-zero entry being 2**-m.
@@ -74,7 +74,7 @@ class ChannelMatrix:
         a = self.data.array
         step = max(1, _BLOCK_CELLS // self.dim)
         for start in range(0, self.dim, step):
-            v = a[start : start + step]
+            v = np.ascontiguousarray(a[start : start + step])  # ufuncs are slow on reversed views
             if ((v < 0) | (v & (v - 1) != 0)).any():
                 raise ValueError("channel entry is not a power of two")
             yield v, self.data.exp + 1 - np.frexp(v)[1]  # frexp is exact on powers of two
@@ -90,29 +90,26 @@ class ChannelMatrix:
         return f"ChannelMatrix(n={self.n}, s0={self.s0})"
 
 
-def _ladder(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(P(k,0), P(k,1)) scaled by 2**k for k = 0..n, as views of two arrays built in place.
+def _ladder(n: int) -> Iterator[np.ndarray]:
+    """P(k, 0) scaled by 2**k for k = 0..n, as views of one array built in place.
 
-    Level k is the top-left 2**k x 2**k corner of each array.  Both arrays
-    are allocated once, in the narrowest dtype that holds 2**n (the largest
-    scaled entry), and each level is written from the one before without
-    temporaries, so a yielded level stays valid only until the next is asked for.
+    Level k is the top-left 2**k x 2**k corner; its exchange view
+    ``a[::-1, ::-1]`` is P(k, 1) at the same scale.  The array has the
+    narrowest dtype that holds 2**n, and each level is written from the one
+    before without temporaries, so a level stays valid until the next is asked for.
     """
     dim = 1 << n
-    p0 = np.zeros((dim, dim), dtype=dtype_for(dim))
-    p1 = np.zeros_like(p0)
-    p0[0, 0] = p1[0, 0] = 1
-    yield p0[:1, :1], p1[:1, :1]
+    p = np.zeros((dim, dim), dtype=dtype_for(dim))
+    p[0, 0] = 1
+    yield p[:1, :1]
     for k in range(n):
         h = 1 << k
-        a0, a1 = p0[:h, :h], p1[:h, :h]
-        # P(k+1,0) = [[2 a0, 0], [a1, a0]] and P(k+1,1) = [[a1, a0], [0, 2 a1]]
-        p0[h : 2 * h, h : 2 * h] = a0
-        p0[h : 2 * h, :h] = a1
-        p1[:h, h : 2 * h] = a0
-        np.left_shift(a1, 1, out=p1[h : 2 * h, h : 2 * h])
-        a0 <<= 1
-        yield p0[: 2 * h, : 2 * h], p1[: 2 * h, : 2 * h]
+        a = p[:h, :h]
+        # P(k+1, 0) = [[2 a, 0], [J a J, a]]
+        p[h : 2 * h, h : 2 * h] = a
+        p[h : 2 * h, :h] = a[::-1, ::-1]
+        a <<= 1
+        yield p[: 2 * h, : 2 * h]
 
 
 _MATRIX_COST = "storage is 4**{n} entries"
@@ -121,26 +118,19 @@ _MATRIX_COST = "storage is 4**{n} entries"
 def build_channel_matrix(n: int, s0: int) -> ChannelMatrix:
     """Build P(n, s0) by n applications of the block recursion.
 
-    Both states are needed up to level n - 1; only the requested state's
-    top level is assembled, so P(n, 1 - s0) is never allocated.
+    Only P(n, 0) is built; P(n, 1) is its exchange view, sharing its memory.
     """
     s0 = config.check_state(s0)
     config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
-    if n == 0:
-        return ChannelMatrix(0, s0, DyadicMatrix.identity(1))
-    a0, a1 = deque(_ladder(n - 1), maxlen=1)[0]
-    if s0 == 0:
-        grid = [[(2, a0), None], [(1, a1), (1, a0)]]
-    else:
-        grid = [[(1, a1), (1, a0)], [None, (2, a1)]]
-    return ChannelMatrix(n, s0, DyadicMatrix(_assemble(grid), n))
+    *_, top = _ladder(n)
+    P = ChannelMatrix(n, 0, DyadicMatrix(top, n))
+    return exchange_conjugate(P) if s0 else P
 
 
 def channel_pair(n: int) -> tuple[ChannelMatrix, ChannelMatrix]:
-    """Both P(n, 0) and P(n, 1) from one pass of the recursion."""
-    config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
-    p0, p1 = deque(_ladder(n), maxlen=1)[0]  # the top level only
-    return ChannelMatrix(n, 0, DyadicMatrix(p0, n)), ChannelMatrix(n, 1, DyadicMatrix(p1, n))
+    """Both P(n, 0) and P(n, 1): one array, the second an exchange view of the first."""
+    P0 = build_channel_matrix(n, 0)
+    return P0, exchange_conjugate(P0)
 
 
 def _corner(inv: np.ndarray, mid: np.ndarray, right: np.ndarray, k: int) -> np.ndarray:
@@ -173,55 +163,41 @@ def _assemble(grid: list[list]) -> np.ndarray:
     return out
 
 
-def _invert_ladder(n: int, s0: int) -> DyadicMatrix:
-    """Inverse of P(n, s0) via the one-step block formula, bottom-up.
+def invert_channel_matrix(P: ChannelMatrix) -> DyadicMatrix:
+    """Exact inverse of a channel matrix; satisfies P @ inverse == I entrywise.
 
-    For state 0 the matrix is lower block triangular:
+    P(k, 0) is lower block triangular, so its inverse is built bottom-up by
         [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]
     with A = P(k-1,0), C = P(k-1,1)/2, D = P(k-1,0)/2, which collapses to
-    -D^-1 C A^-1 = -A^-1 P(k-1,1) A^-1 and D^-1 = 2 A^-1.  State 1 is the
-    mirrored upper-triangular case.
+    -D^-1 C A^-1 = -A^-1 P(k-1,1) A^-1 and D^-1 = 2 A^-1.  P(n, 1)^-1 is the
+    exchange view of P(n, 0)^-1.
     """
-    if n == 0:
-        return DyadicMatrix.identity(1)
-    ladder = _ladder(n - 1)
+    ladder = _ladder(P.n - 1)
     inv = np.ones((1, 1), dtype=np.int16)
-    for k in range(1, n + 1):
-        # P(k-1, 1) for state 0 and P(k-1, 0) for state 1, scaled by 2**(k-1)
-        corner = _corner(inv, next(ladder)[1 - s0], inv, k - 1)
-        if k == n:
-            ladder.close()  # drop the last level before the full-size blocks
-        if s0 == 0:
-            inv = _assemble([[(1, inv), None], [(-1, corner), (2, inv)]])
-        else:
-            inv = _assemble([[(2, inv), (-1, corner)], [None, (1, inv)]])
-    return DyadicMatrix(inv, 0)
-
-
-def invert_channel_matrix(P: ChannelMatrix) -> DyadicMatrix:
-    """Exact inverse of a channel matrix; satisfies P @ inverse == I entrywise."""
-    return _invert_ladder(P.n, P.s0)
+    for k in range(1, P.n + 1):
+        # P(k-1, 1), scaled by 2**(k-1)
+        corner = _corner(inv, next(ladder)[::-1, ::-1], inv, k - 1)
+        inv = _assemble([[(1, inv), None], [(-1, corner), (2, inv)]])
+    inv = DyadicMatrix(inv, 0)
+    return exchange_conjugate(inv) if P.s0 else inv
 
 
 def invert_two_step(n: int, s0: int) -> DyadicMatrix:
     """Inverse of P(n, s0) for even n via the four-block recursion.
 
     Builds the inverse of P(n, 0) two levels at a time from the corner
-    product M0 = P(2k,0)^-1 P(2k,1) P(2k,0)^-1.  P(n, 1) = J P(n, 0) J with J
-    the exchange matrix, so state 1 assembles the last level's block grid
-    exchange-reversed.  This is an independent route kept as a cross-check
-    against the one-step formula, which computes each state on its own.
+    product M0 = P(2k,0)^-1 P(2k,1) P(2k,0)^-1; the inverse of P(n, 1) is
+    its exchange view.  This is an independent route kept as a cross-check
+    against the one-step formula of invert_channel_matrix.
     """
     s0 = config.check_state(s0)
     config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
     if n % 2:
         raise ValueError("two-step inversion needs an even block length")
-    if n == 0:
-        return DyadicMatrix.identity(1)
     levels = islice(_ladder(n - 2), 0, None, 2)
     inv = np.ones((1, 1), dtype=np.int16)
     for k in range(2, n + 1, 2):
-        mid = next(levels)[1]  # P(k-2, 1), scaled by 2**(k-2)
+        mid = next(levels)[::-1, ::-1]  # P(k-2, 1), scaled by 2**(k-2)
         m = _corner(inv, mid, inv, k - 2)
         f = _corner(m, mid, inv, k - 2)
         grid = [
@@ -230,10 +206,9 @@ def invert_two_step(n: int, s0: int) -> DyadicMatrix:
             [None, (-1, inv), (2, inv), None],
             [(2, f), (-3, m), (-2, m), (4, inv)],
         ]
-        if k == n and s0 == 1:  # J grid J, as views
-            grid = [[c and (c[0], c[1][::-1, ::-1]) for c in row[::-1]] for row in grid[::-1]]
         inv = _assemble(grid)
-    return DyadicMatrix(inv, 0)
+    inv = DyadicMatrix(inv, 0)
+    return exchange_conjugate(inv) if s0 else inv
 
 
 def exchange_conjugate(

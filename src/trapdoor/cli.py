@@ -4,8 +4,8 @@ Subcommands: matrix, enumerate, entropy, omega, bound, ba, fractal,
 sierpinski, verify.  Exit codes: 0 success, 1 verification failure (an
 internal assertion, arithmetic or convergence failure included), 2 usage
 error (a request too large for memory included), 130 interrupted (Ctrl-C).
-Default initial state is 0 everywhere; the state-1 paths are exercised by
-`verify` through the exchange symmetries.
+Default initial state is 0 everywhere; `verify` checks state 1 against its
+own block recursion and the exchange symmetries of h and w.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from . import bounds, config, enumeration, fractal, optimize, serialization, verify
 from .channel import build_channel_matrix, invert_channel_matrix, invert_two_step
-from .matrices import DyadicMatrix
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -105,12 +104,6 @@ def _emit(text: str, path: str | None) -> None:
         Path(path).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
 
 
-def _matrix_text(data: DyadicMatrix) -> str:
-    return "\n".join(
-        "  ".join(str(data.entry(i, j)) for j in range(data.dim)) for i in range(data.dim)
-    )
-
-
 def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.inverse:
         if args.two_step:
@@ -126,7 +119,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(serialization.matrix_csv_text(obj), args.o)
     else:
-        _emit(_matrix_text(data), args.o)
+        _emit("\n".join(serialization.matrix_lines(data, str, "  ")), args.o)
     return 0
 
 

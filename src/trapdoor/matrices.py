@@ -69,6 +69,8 @@ def _working(x: np.ndarray, top: int) -> np.ndarray:
 
 def max_abs(x: np.ndarray) -> int:
     """The largest |entry| of an array as a Python int, 0 when it is empty."""
+    # the same entries with every stride forward, where numpy reduces fastest
+    x = x[tuple(slice(None, None, -1 if s < 0 else 1) for s in x.strides)]
     return max(int(x.max()), -int(x.min())) if x.size else 0
 
 

@@ -19,9 +19,9 @@ import re
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Callable, Iterator, Union
 
-from .channel import ChannelMatrix
+from .channel import ChannelMatrix, build_channel_matrix
 from .dyadic import Dyadic
 from .matrices import DyadicMatrix
 
@@ -54,6 +54,24 @@ def parse_dyadic(s: str) -> Dyadic:
 Matrix = Union[ChannelMatrix, DyadicMatrix]
 
 
+def matrix_lines(data: DyadicMatrix, fmt: Callable[[Dyadic], str], sep: str) -> Iterator[str]:
+    """The rows of a matrix as text: cells formatted by fmt, joined by sep.
+
+    Each distinct entry is formatted once, and rows are read one at a time,
+    so no list of the whole matrix is built.
+    """
+    cells: dict[int, str] = {}  # integer entry -> its cell, one Dyadic per distinct value
+
+    def cell(v: int) -> str:
+        text = cells.get(v)
+        if text is None:
+            text = cells[v] = fmt(Dyadic(v, data.exp))
+        return text
+
+    for row in data.array:
+        yield sep.join(map(cell, row.tolist()))
+
+
 def matrix_csv_text(matrix: Matrix) -> str:
     """CSV serialization of a matrix: header row, then canonical dyadic cells."""
     if isinstance(matrix, ChannelMatrix):
@@ -62,18 +80,7 @@ def matrix_csv_text(matrix: Matrix) -> str:
         data = matrix
         n = data.dim.bit_length() - 1
         s0 = "general"
-    exp = data.exp
-    cells = {0: "0"}  # integer entry -> its canonical cell, one Dyadic per distinct value
-
-    def cell(v: int) -> str:
-        text = cells.get(v)
-        if text is None:
-            text = cells[v] = format_dyadic(Dyadic(v, exp))
-        return text
-
-    lines = [f"n={n},s0={s0},dim={data.dim}"]
-    for row in data.array:  # one row at a time, so no list of the whole matrix is built
-        lines.append(",".join(map(cell, row.tolist())))
+    lines = [f"n={n},s0={s0},dim={data.dim}", *matrix_lines(data, format_dyadic, ",")]
     return "\n".join(lines) + "\n"
 
 
@@ -86,8 +93,9 @@ def read_matrix_csv(path: Union[str, Path]) -> Matrix:
     """Parse a matrix written by write_matrix_csv.
 
     Returns a ChannelMatrix when the header names an initial state (s0=0 or
-    s0=1), a DyadicMatrix for s0=general.  Raises ValueError (with the path)
-    on malformed content, any other s0 included.
+    s0=1) and the cells equal P(n, s0), a DyadicMatrix for s0=general.
+    Raises ValueError (with the path) on malformed content, any other s0
+    included, and names the first row that differs from P(n, s0).
     """
     p = Path(path)
     text = p.read_text(encoding="utf-8")
@@ -125,14 +133,19 @@ def read_matrix_csv(path: Union[str, Path]) -> Matrix:
     exp = max((d.exp for d in parsed.values()), default=0)
     value = {c: d.num << (exp - d.exp) for c, d in parsed.items()}
     data = DyadicMatrix([[value[c] for c in cells] for cells in rows], exp)
-    if s0_raw in ("0", "1"):
+    if s0_raw == "general":
+        return data
+    try:
         matrix = ChannelMatrix(n, int(s0_raw), data)
-        try:
-            matrix.validate()
-        except ValueError as exc:
-            raise ValueError(f"{p}: not a valid channel matrix: {exc}") from None
-        return matrix
-    return data
+        expected = build_channel_matrix(n, matrix.s0).data
+    except ValueError as exc:
+        raise ValueError(f"{p}: {exc}") from None
+    e = max(data.exp, expected.exp)
+    differs = (data.with_exp(e).array != expected.with_exp(e).array).any(axis=1)
+    if differs.any():
+        row = int(differs.argmax()) + 1
+        raise ValueError(f"{p}: not a valid channel matrix: row {row} differs from P({n}, {s0_raw})")
+    return matrix
 
 
 def json_default(obj: Any) -> Any:

@@ -50,7 +50,7 @@ class _Context:
     def __init__(self, max_n: int) -> None:
         self.max_n = max_n
         self._pairs: dict[int, tuple[ChannelMatrix, ChannelMatrix]] = {}
-        self._inverses: dict[tuple[int, int], DyadicMatrix] = {}
+        self._inverses: dict[int, DyadicMatrix] = {}
 
     def pair(self, n: int) -> tuple[ChannelMatrix, ChannelMatrix]:
         if n not in self._pairs:
@@ -61,10 +61,10 @@ class _Context:
         return self.pair(n)[s0]
 
     def inverse(self, n: int, s0: int) -> DyadicMatrix:
-        key = (n, s0)
-        if key not in self._inverses:
-            self._inverses[key] = invert_channel_matrix(self.matrix(n, s0))
-        return self._inverses[key]
+        """P(n, s0)^-1; state 1's is the exchange view of the cached state-0 inverse."""
+        if n not in self._inverses:
+            self._inverses[n] = invert_channel_matrix(self.matrix(n, 0))
+        return exchange_conjugate(self._inverses[n]) if s0 else self._inverses[n]
 
 
 def _check_stochastic(ctx: _Context) -> str:
@@ -103,11 +103,20 @@ def _check_two_step_inverse(ctx: _Context) -> str:
 
 
 def _check_exchange_symmetry(ctx: _Context) -> str:
-    for n in range(ctx.max_n + 1):
-        P0, P1 = ctx.pair(n)
-        assert exchange_conjugate(P0) == P1 and exchange_conjugate(P1) == P0
-        assert ctx.inverse(n, 0).reversed_conjugate() == ctx.inverse(n, 1)
-    return f"exchange conjugation swaps the two states (P and P^-1), n <= {ctx.max_n}"
+    # P(n,1) is built as J P(n,0) J, so it is checked against the paper's own
+    # state-1 recursion [[P(n-1,1)/2, P(n-1,0)/2], [0, P(n-1,1)]], block by block
+    assert ctx.matrix(0, 1).data.is_identity(), "P(0,1) differs from [1] at n=0"
+    for n in range(1, ctx.max_n + 1):
+        Q0, Q1 = (Q.data for Q in ctx.pair(n - 1))
+        P1, h = ctx.matrix(n, 1).data, 1 << (n - 1)
+        zero = DyadicMatrix(np.zeros((h, h), dtype=np.int16))
+        for i, row in enumerate([[(Q1, 1), (Q0, 1)], [(zero, 0), (Q1, 0)]]):
+            for j, (Q, halvings) in enumerate(row):
+                block = DyadicMatrix(P1.array[i * h : (i + 1) * h, j * h : (j + 1) * h], P1.exp)
+                assert block == DyadicMatrix(Q.array, Q.exp + halvings), (
+                    f"P(n,1) block ({i}, {j}) differs from the state-1 recursion at n={n}"
+                )
+    return f"P(n,1) equals [[P(n-1,1)/2, P(n-1,0)/2], [0, P(n-1,1)]] block by block, n <= {ctx.max_n}"
 
 
 def _check_entropy_recursions(ctx: _Context) -> str:

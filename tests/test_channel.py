@@ -217,3 +217,20 @@ def test_single_state_build_equals_pair(n):
         assert P == pair[s0]
         assert P.data.exp == pair[s0].data.exp == n
         assert P.data.array.dtype == pair[s0].data.array.dtype
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_state_one_is_a_view_of_the_state_zero_array(n):
+    P0, P1 = channel_pair(n)
+    assert np.shares_memory(P0.data.array, P1.data.array)
+    single = build_channel_matrix(n, 1).data.array
+    assert np.array_equal(single.base, P0.data.array)  # the memory holds P(n, 0)
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+@pytest.mark.parametrize("s0", (0, 1))
+def test_inverses_of_both_states_view_the_state_zero_inverse(n, s0, pairs, inverses):
+    inv = invert_channel_matrix(pairs(n)[s0]).array
+    owner = inv if inv.base is None else inv.base
+    assert np.shares_memory(inv, owner)
+    assert np.array_equal(owner, inverses(n, 0).array)  # the memory holds P(n, 0)^-1

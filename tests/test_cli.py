@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from trapdoor import bounds, enumeration, fractal, optimize, verify
+from trapdoor.channel import ChannelMatrix
 from trapdoor.cli import main
+from trapdoor.matrices import DyadicMatrix
 from trapdoor.serialization import read_matrix_csv
 
 from oracles import decode_png
@@ -139,6 +141,30 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "14/14 checks passed" in out
     assert "FAIL" not in out
+
+
+def test_exchange_symmetry_checks_the_state_one_recursion():
+    [result] = verify.run_checks(5, ["exchange symmetry"])
+    assert result.ok
+    assert result.detail == (
+        "P(n,1) equals [[P(n-1,1)/2, P(n-1,0)/2], [0, P(n-1,1)]] block by block, n <= 5"
+    )
+
+
+@pytest.mark.parametrize("bad", (1, 3))
+def test_exchange_symmetry_catches_a_transposed_state_one(monkeypatch, bad):
+    real = verify.channel_pair
+
+    def transposed(n):
+        P0, P1 = real(n)
+        if n == bad:
+            P1 = ChannelMatrix(n, 1, DyadicMatrix(P1.data.array.T, P1.data.exp))
+        return P0, P1
+
+    monkeypatch.setattr(verify, "channel_pair", transposed)
+    [result] = verify.run_checks(5, ["exchange symmetry"])
+    assert not result.ok
+    assert result.detail.endswith(f"differs from the state-1 recursion at n={bad}")
 
 
 def test_out_of_memory_is_usage_error(monkeypatch, capsys):

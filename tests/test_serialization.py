@@ -111,6 +111,25 @@ def test_read_errors(tmp_path):
         read_matrix_csv(not_stochastic)
 
 
+def test_read_rejects_a_stochastic_matrix_that_is_not_the_channel(tmp_path):
+    # the identity is stochastic with power-of-two entries, but it is not P(2, 0)
+    path = tmp_path / "identity.csv"
+    path.write_text(matrix_csv_text(DyadicMatrix.identity(4)).replace("s0=general", "s0=0"))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not a valid channel matrix: row 2 differs from P(2, 0)")):
+        read_matrix_csv(path)
+
+
+def test_read_names_the_row_of_a_changed_cell(tmp_path):
+    path = tmp_path / "p3.csv"
+    lines = matrix_csv_text(build_channel_matrix(3, 1)).splitlines()
+    cells = lines[6].split(",")  # row 6 of the matrix
+    cells[5] = "1/2^3" if cells[5] == "0" else "0"
+    lines[6] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not a valid channel matrix: row 6 differs from P(3, 1)")):
+        read_matrix_csv(path)
+
+
 def test_read_brings_cells_to_lowest_terms(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("n=1,s0=general,dim=2\n2/2^2,1/2^1\n 4/2^3,0/2^5\n")
