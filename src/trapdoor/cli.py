@@ -2,8 +2,9 @@
 
 Subcommands: matrix, enumerate, entropy, omega, bound, ba, fractal,
 sierpinski, verify.  Exit codes: 0 success, 1 verification failure (an
-internal assertion, arithmetic or convergence failure included), 2 usage
-error (a request too large for memory included), 130 interrupted (Ctrl-C).
+internal assertion, arithmetic or convergence failure included, and for
+verify any error inside a check), 2 usage error (a request too large for
+memory included), 130 interrupted (Ctrl-C).
 Default initial state is 0 everywhere; `verify` checks state 1 against its
 own block recursion and the exchange symmetries of h and w.
 """

@@ -17,6 +17,7 @@ here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -80,12 +81,40 @@ def _float_matrix(P: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
 def _divergences(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray) -> np.ndarray:
     """D_i = sum_j W_ij log2(W_ij / q_j) in bits, with output distribution q = p W.
 
-    Exact on the support of p: p_i > 0 and W_ij > 0 give q_j >= p_i W_ij > 0,
-    so the dead columns (q_j = 0, read as log2 1 = 0) only meet zero entries
-    of those rows.  Entries off the support are meaningless.
+    A dead output (q_j == 0) is read as log2 q_j = 0, so every D_i is finite.
+    That is exact for a row that reaches no dead output.  A row that does gets
+    a value below its true divergence, which is +inf or, when q_j underflowed
+    (5e-324 * 0.25 == 0 although both factors are positive), merely huge.
     """
     q = p @ W
     return wlogw - W @ np.log2(np.where(q > 0.0, q, 1.0))
+
+
+def _masked_step(
+    W: np.ndarray,
+    wlogw: np.ndarray,
+    p: np.ndarray,
+    q: np.ndarray,
+    alphabet: np.ndarray | None,
+    D: np.ndarray,
+) -> tuple[float, float]:
+    """(lower, upper) for one BA iteration that has a dead output or a restricted alphabet.
+
+    q is p W.  D is recomputed by _divergences, so the lower end p . D counts
+    a row that reaches a dead output below its true share and stays a lower
+    bound.  The upper end is the max over the alphabet (all inputs when
+    alphabet is None) with D_i = +inf for such a row, so a bracket that
+    misses a dead output is never certified.  D is left holding the update
+    exponents: D_i minus its max over the support of p, and -inf off it.
+    """
+    D[:] = _divergences(W, wlogw, p)
+    lower = float(p @ D)
+    top = np.where(W[:, q == 0.0].any(axis=1), np.inf, D)
+    upper = float(top.max() if alphabet is None else top[alphabet].max())
+    support = p > 0.0
+    D -= D[support].max()
+    D[~support] = -np.inf
+    return lower, upper
 
 
 def mutual_information(P: ChannelMatrix, p: Sequence[float]) -> float:
@@ -151,9 +180,17 @@ def blahut_arimoto(
 
     tol is the per-letter width of the capacity bracket.  Non-convergence is
     not an exception: the report carries the achieved bracket and
-    report.converged is False.  Inputs that start at exactly zero stay at
-    zero; the bracket then certifies the capacity of the restricted input
-    alphabet (interior uniform init, the default, covers the full alphabet).
+    report.converged is False.  The input alphabet is the set of inputs
+    positive in init: all of them for the default uniform init.  Inputs that
+    start at exactly zero stay at zero, and the bracket then certifies the
+    capacity of the restricted alphabet.  The upper end is the max of D_i
+    over the alphabet, read as +inf for a row that reaches an output whose
+    float mass is 0 (which a positive but subnormal init entry can produce),
+    so such a run ends unconverged rather than at a wrong value.
+
+    Each iteration works in buffers allocated once.  Only an iteration with
+    a dead output (log2 0 = -inf makes max D non-finite), or a restricted
+    alphabet, takes the masked step.
     """
     config.check_per_letter(P.n)
     if not tol > 0:  # NaN included
@@ -163,25 +200,34 @@ def blahut_arimoto(
     W, wlogw = _float_matrix(P)
     dim = P.dim
     p = np.full(dim, 1.0 / dim) if init is None else _as_prob_vector(init, dim)
+    alphabet = None if p.all() else p > 0.0
+    q = np.empty(W.shape[1])
+    logq = np.empty_like(q)
+    D = np.empty(dim)
     history: list[tuple[float, float]] | None = [] if track_history else None
     lower = upper = float("nan")
     it = 0
     gap = float("inf")
-    for it in range(1, max_iter + 1):
-        support = p > 0.0
-        D = _divergences(W, wlogw, p)
-        Ds = D[support]
-        lower = float(p[support] @ Ds)
-        upper = float(Ds.max())
-        if history is not None:
-            history.append((lower / P.n, upper / P.n))
-        gap = (upper - lower) / P.n
-        if gap <= tol:
-            break
-        factor = np.zeros(dim)
-        factor[support] = np.exp2(Ds - upper)
-        p = p * factor
-        p = p / p.sum()
+    with np.errstate(divide="ignore", invalid="ignore"):  # log2 0 and 0 * -inf on a dead output
+        for it in range(1, max_iter + 1):
+            np.matmul(p, W, out=q)
+            np.log2(q, out=logq)
+            np.matmul(W, logq, out=D)
+            np.subtract(wlogw, D, out=D)
+            upper = float(D.max())
+            if alphabet is None and math.isfinite(upper):
+                lower = float(p.dot(D))
+                D -= upper
+            else:
+                lower, upper = _masked_step(W, wlogw, p, q, alphabet, D)
+            if history is not None:
+                history.append((lower / P.n, upper / P.n))
+            gap = (upper - lower) / P.n
+            if gap <= tol:
+                break
+            np.exp2(D, out=D)
+            p *= D
+            p /= p.sum()
     return OptimizationReport(
         n=P.n,
         s0=P.s0,

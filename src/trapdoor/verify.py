@@ -2,11 +2,13 @@
 
 Each check returns quietly or raises AssertionError with a description; the
 runner collects (name, ok, detail) tuples for the CLI, and also records a
-ConvergenceError or ArithmeticError raised inside a check as a failed check
-that carries the message.  The suite covers the recursion-vs-definition
-oracles, the exchange symmetries, the exact bound identities, the
-enumeration/matrix cross-check, the fractal equivalences, the pre-normalized
-optimizer closed forms, and the numerical simplex certification.
+ConvergenceError, ArithmeticError or ValueError raised inside a check as a
+failed check that carries the message.  A max_n out of range is a usage
+error: run_checks raises ValueError before any check runs.  The suite
+covers the recursion-vs-definition oracles, the exchange symmetries, the
+exact bound identities, the enumeration/matrix cross-check, the fractal
+equivalences, the pre-normalized optimizer closed forms, and the numerical
+simplex certification.
 
 The second-to-last optimizer entry follows the closed form -3*2**(n-3) at
 even lengths; at odd lengths >= 3 the exact value is -3*2**(n-5) (the block
@@ -289,7 +291,13 @@ CHECKS: list[tuple[str, Callable[[_Context], str]]] = [
 
 
 def run_checks(max_n: int = 8, names: Iterable[str] | None = None) -> list[CheckResult]:
-    """Run the suite (matrix-dependent checks up to block length max_n)."""
+    """Run the suite (matrix-dependent checks up to block length max_n).
+
+    Raises ValueError unless 0 <= max_n <= the matrix cap.
+    """
+    config.check_cap(
+        max_n, config.MATRIX_CAP_ENV, "its largest P(n, s0) stores 4**{n} entries", "max n"
+    )
     ctx = _Context(max_n)
     wanted = None if names is None else set(names)
     results = []
@@ -303,7 +311,7 @@ def run_checks(max_n: int = 8, names: Iterable[str] | None = None) -> list[Check
         except AssertionError as exc:
             detail = str(exc) or "assertion failed"
             ok = False
-        except (optimize.ConvergenceError, ArithmeticError) as exc:
+        except (optimize.ConvergenceError, ArithmeticError, ValueError) as exc:
             detail = f"{type(exc).__name__}: {exc}"
             ok = False
         results.append(CheckResult(name, ok, detail, time.perf_counter() - start))

@@ -9,7 +9,9 @@ big-integer product, the list-backed channel and inversion ladders, the
 list-backed h and w recursions and the depth-first output enumeration are
 the package's former implementations, kept here as references for the
 float64 products, the array-backed ladders and vector recursions and the
-level-wise enumeration.
+level-wise enumeration.  The Blahut-Arimoto loop that masks the support and
+allocates its temporaries on every iteration is the former optimizer loop,
+kept as the reference for the one that works in preallocated buffers.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import struct
 import zlib
 from fractions import Fraction
+
+import numpy as np
 
 
 def channel_fractions(n: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
@@ -109,6 +113,35 @@ def mutual_information_reference(P: list[list[float]], p: list[float], n: int) -
             if P[i][j] > 0:
                 total += p[i] * P[i][j] * math.log2(P[i][j] / q[j])
     return total / n
+
+
+def blahut_arimoto_reference(W, n: int, tol: float, max_iter: int, track_history: bool = False):
+    """(iterations, capacity_per_letter, final_gap, distribution, history) of
+    Blahut-Arimoto on the float channel W from the uniform start."""
+    wlogw = (W * np.log2(np.where(W > 0.0, W, 1.0))).sum(axis=1)
+    dim = W.shape[0]
+    p = np.full(dim, 1.0 / dim)
+    history = [] if track_history else None
+    lower = float("nan")
+    it = 0
+    gap = float("inf")
+    for it in range(1, max_iter + 1):
+        support = p > 0.0
+        q = p @ W
+        D = wlogw - W @ np.log2(np.where(q > 0.0, q, 1.0))
+        Ds = D[support]
+        lower = float(p[support] @ Ds)
+        upper = float(Ds.max())
+        if history is not None:
+            history.append((lower / n, upper / n))
+        gap = (upper - lower) / n
+        if gap <= tol:
+            break
+        factor = np.zeros(dim)
+        factor[support] = np.exp2(Ds - upper)
+        p = p * factor
+        p = p / p.sum()
+    return it, lower / n, gap, p, history
 
 
 def output_masses_nonnegative(P: list[list[Fraction]], p: list[Fraction]) -> bool:

@@ -208,6 +208,36 @@ def test_verify_reports_non_convergence_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in out + err
 
 
+def test_verify_records_a_value_error_inside_a_check(monkeypatch, capsys):
+    real_pair = verify.channel_pair
+
+    def transposed_state_one(n):
+        P0, P1 = real_pair(n)
+        if n == 3:
+            P1 = ChannelMatrix(3, 1, DyadicMatrix(P1.data.array.T, P1.data.exp))
+        return P0, P1
+
+    monkeypatch.setattr(verify, "channel_pair", transposed_state_one)
+    code, out, err = run(capsys, "verify", "--max-n", "4")
+    assert code == 1
+    assert "FAIL channel matrices stochastic" in out
+    assert "ValueError: row does not sum to exactly 1" in out
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "max_n, message",
+    [("-1", "max n must be non-negative"), ("15", "max n 15 exceeds the cap 14")],
+    ids=["negative", "above-cap"],
+)
+def test_verify_bad_max_n_is_usage_error(monkeypatch, capsys, max_n, message):
+    monkeypatch.delenv("TRAPDOOR_MATRIX_CAP", raising=False)
+    code, out, err = run(capsys, "verify", "--max-n", max_n)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "command, target, failure",
     [

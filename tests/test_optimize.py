@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import mutual_information_reference
+from oracles import blahut_arimoto_reference, mutual_information_reference
 from trapdoor.bounds import closed_form, constraint_check
 from trapdoor.dyadic import Dyadic
 from trapdoor.optimize import (
@@ -154,6 +154,35 @@ def test_ba_iteration_counts_pinned(n, iterations, pairs):
     # iteration counts of the plain BA update at tol 1e-8 from the uniform start
     for P in pairs(n):
         assert blahut_arimoto(P, tol=1e-8, max_iter=10_000).iterations == iterations
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ba_matches_reference_loop(n, pairs):
+    # the buffered loop repeats the reference's float operations in the same
+    # order, so every report field is bitwise equal, n = 7 and 8 included
+    for P in pairs(n):
+        W = P.data.array * 2.0**-P.data.exp
+        its, cap, gap, dist, history = blahut_arimoto_reference(
+            W, n, tol=1e-8, max_iter=10_000, track_history=n <= 5
+        )
+        r = blahut_arimoto(P, tol=1e-8, max_iter=10_000, track_history=n <= 5)
+        assert r.iterations == its
+        assert r.final_gap == gap
+        assert r.capacity_per_letter == cap
+        assert np.array_equal(r.distribution, dist)
+        assert r.history == history
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_ba_never_certifies_a_missed_dead_output(n, pairs):
+    # 5e-324 * 0.25 == 0: the middle rows' outputs get no float mass although
+    # every input is positive, so a bracket that skips them would certify 1/n
+    P = pairs(n)[0]
+    init = np.full(P.dim, 5e-324)
+    init[0] = init[-1] = 0.5
+    r = blahut_arimoto(P, tol=1e-8, max_iter=500, init=init)
+    best = blahut_arimoto(P, tol=1e-8, max_iter=10_000).capacity_per_letter
+    assert not r.converged or abs(r.capacity_per_letter - best) <= 1e-8
 
 
 def test_ba_zero_inputs_stay_zero(pairs):
