@@ -39,7 +39,6 @@ from .channel import (
     exchange_conjugate,
     invert_channel_matrix,
     invert_two_step,
-    reverse_vector,
 )
 from .dyadic import Dyadic
 from .enumeration import (

@@ -13,8 +13,12 @@ recursions
 with P(0, 0) = P(0, 1) = [1], so every entry is 0 or a power of 1/2 and rows
 sum to exactly 1.  P(n, 1) = J P(n, 0) J with J the exchange matrix, so only
 state 0 is computed: P(n, 1) and its inverse are the state-0 arrays read with
-both axes reversed, views that share their memory.  Inverses come from the
-block-triangular inversion formula applied recursively, in exact integers.
+both axes reversed, views that share their memory.  P(n, 0) is lower block
+triangular, so [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]] gives
+the one-step formula P(n,0)^-1 = [[A, 0], [-A P(n-1,1) A, 2 A]] with
+A = P(n-1,0)^-1.  The inverse is computed in exact integers by one ladder
+that applies this formula twice per step (the paper's four-block recursion);
+the one-step formula itself is checked block by block in trapdoor.verify.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import config
 from .dyadic import Dyadic
-from .matrices import DyadicMatrix, dtype_for, exact_product, max_abs, reverse_vector, shift_down
+from .matrices import DyadicMatrix, dtype_for, exact_product, max_abs, shift_down
 
 
 _BLOCK_CELLS = 1 << 16  # entries per block of rows in ChannelMatrix.halvings
@@ -47,9 +51,6 @@ class ChannelMatrix:
     @property
     def dim(self) -> int:
         return self.data.dim
-
-    def entry(self, i: int, j: int) -> Dyadic:
-        return self.data.entry(i, j)
 
     def row_dyadics(self, i: int) -> list[Dyadic]:
         return self.data.row_dyadics(i)
@@ -163,40 +164,19 @@ def _assemble(grid: list[list]) -> np.ndarray:
     return out
 
 
-def invert_channel_matrix(P: ChannelMatrix) -> DyadicMatrix:
-    """Exact inverse of a channel matrix; satisfies P @ inverse == I entrywise.
+def _inverse_ladder(n: int) -> DyadicMatrix:
+    """P(n, 0)^-1, two levels at a time by the four-block recursion.
 
-    P(k, 0) is lower block triangular, so its inverse is built bottom-up by
-        [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]
-    with A = P(k-1,0), C = P(k-1,1)/2, D = P(k-1,0)/2, which collapses to
-    -D^-1 C A^-1 = -A^-1 P(k-1,1) A^-1 and D^-1 = 2 A^-1.  P(n, 1)^-1 is the
-    exchange view of P(n, 0)^-1.
+    Applying the one-step formula
+        P(k, 0)^-1 = [[A, 0], [-A P(k-1,1) A, 2 A]],  A = P(k-1, 0)^-1,
+    twice writes P(k, 0)^-1 in the 4 x 4 blocks of A = P(k-2, 0)^-1, the
+    corner product M = A P(k-2,1) A and F = M P(k-2,1) A.  The step holds
+    from any level, so even n start from P(0, 0)^-1 = [1] and odd n from
+    P(1, 0)^-1 = [[1, 0], [-1, 2]].
     """
-    ladder = _ladder(P.n - 1)
-    inv = np.ones((1, 1), dtype=np.int16)
-    for k in range(1, P.n + 1):
-        # P(k-1, 1), scaled by 2**(k-1)
-        corner = _corner(inv, next(ladder)[::-1, ::-1], inv, k - 1)
-        inv = _assemble([[(1, inv), None], [(-1, corner), (2, inv)]])
-    inv = DyadicMatrix(inv, 0)
-    return exchange_conjugate(inv) if P.s0 else inv
-
-
-def invert_two_step(n: int, s0: int) -> DyadicMatrix:
-    """Inverse of P(n, s0) for even n via the four-block recursion.
-
-    Builds the inverse of P(n, 0) two levels at a time from the corner
-    product M0 = P(2k,0)^-1 P(2k,1) P(2k,0)^-1; the inverse of P(n, 1) is
-    its exchange view.  This is an independent route kept as a cross-check
-    against the one-step formula of invert_channel_matrix.
-    """
-    s0 = config.check_state(s0)
-    config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
-    if n % 2:
-        raise ValueError("two-step inversion needs an even block length")
-    levels = islice(_ladder(n - 2), 0, None, 2)
-    inv = np.ones((1, 1), dtype=np.int16)
-    for k in range(2, n + 1, 2):
+    levels = islice(_ladder(n - 2), n % 2, None, 2)
+    inv = np.array([[1, 0], [-1, 2]] if n % 2 else [[1]], dtype=np.int16)
+    for k in range(2 + n % 2, n + 1, 2):
         mid = next(levels)[::-1, ::-1]  # P(k-2, 1), scaled by 2**(k-2)
         m = _corner(inv, mid, inv, k - 2)
         f = _corner(m, mid, inv, k - 2)
@@ -207,7 +187,28 @@ def invert_two_step(n: int, s0: int) -> DyadicMatrix:
             [(2, f), (-3, m), (-2, m), (4, inv)],
         ]
         inv = _assemble(grid)
-    inv = DyadicMatrix(inv, 0)
+    return DyadicMatrix(inv, 0)
+
+
+def invert_channel_matrix(P: ChannelMatrix) -> DyadicMatrix:
+    """Exact inverse of a channel matrix; satisfies P @ inverse == I entrywise.
+
+    P(n, 1)^-1 is the exchange view of P(n, 0)^-1.
+    """
+    inv = _inverse_ladder(P.n)
+    return exchange_conjugate(inv) if P.s0 else inv
+
+
+def invert_two_step(n: int, s0: int) -> DyadicMatrix:
+    """Inverse of P(n, s0) for even n; raises ValueError at odd n.
+
+    The same ladder as invert_channel_matrix, without building P(n, s0) first.
+    """
+    s0 = config.check_state(s0)
+    config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
+    if n % 2:
+        raise ValueError("two-step inversion needs an even block length")
+    inv = _inverse_ladder(n)
     return exchange_conjugate(inv) if s0 else inv
 
 
@@ -252,5 +253,4 @@ __all__ = [
     "invert_two_step",
     "exchange_conjugate",
     "disjoint_support_check",
-    "reverse_vector",
 ]

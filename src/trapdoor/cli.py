@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, config, enumeration, fractal, optimize, serialization, verify
-from .channel import build_channel_matrix, invert_channel_matrix, invert_two_step
+from .channel import build_channel_matrix, invert_channel_matrix
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="channel matrix or its exact inverse")
     add_common(p)
     p.add_argument("--inverse", action="store_true", help="emit the inverse matrix")
-    p.add_argument("--two-step", action="store_true", help="use the four-block inverse recursion (even n)")
     p.add_argument("--format", choices=("csv", "text"), default="text")
 
     p = sub.add_parser("enumerate", help="feasible outputs and exact likelihoods")
@@ -106,19 +105,10 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    if args.inverse:
-        if args.two_step:
-            data = invert_two_step(args.n, args.s)
-        else:
-            data = invert_channel_matrix(build_channel_matrix(args.n, args.s))
-        obj: object = data
-    else:
-        if args.two_step:
-            raise ValueError("--two-step applies to the inverse only")
-        obj = build_channel_matrix(args.n, args.s)
-        data = obj.data
+    P = build_channel_matrix(args.n, args.s)
+    data = invert_channel_matrix(P) if args.inverse else P.data
     if args.format == "csv":
-        _emit(serialization.matrix_csv_text(obj), args.o)
+        _emit(serialization.matrix_csv_text(data if args.inverse else P), args.o)
     else:
         _emit("\n".join(serialization.matrix_lines(data, str, "  ")), args.o)
     return 0

@@ -155,19 +155,6 @@ class ShapeGrid:
     def nonzero_count(self) -> int:
         return int(np.count_nonzero(self.array != EMPTY))
 
-    def quadrant_codes(self, vertical: int, horizontal: int) -> list[list[int]]:
-        """Height codes of one quadrant: (0,0) top-left .. (1,1) bottom-right.
-
-        Returned as raw codes, not a ShapeGrid: a quadrant may carry heights
-        finer than its own side length allows (e.g. the scaled-down blocks of
-        a deeper embedding).
-        """
-        if self.resolution == 0:
-            raise ValueError("a 1x1 grid has no quadrants")
-        half = self.side // 2
-        r0, c0 = vertical * half, horizontal * half
-        return self.array[r0 : r0 + half, c0 : c0 + half].tolist()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShapeGrid):
             return NotImplemented

@@ -335,8 +335,3 @@ class DyadicMatrix:
         nums = int_array([[d.num << (e - d.exp)] for d in vec])
         e += self.exp
         return [Dyadic(v, e) for v in exact_product(self.array, nums)[:, 0].tolist()]
-
-
-def reverse_vector(v: Sequence) -> list:
-    """Entries in reverse order (multiplication by the exchange matrix); involutive."""
-    return list(v)[::-1]

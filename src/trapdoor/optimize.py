@@ -78,16 +78,15 @@ def _float_matrix(P: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
     return W, wlogw
 
 
-def _divergences(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """D_i = sum_j W_ij log2(W_ij / q_j) in bits, with output distribution q = p W.
+def _divergences(W: np.ndarray, wlogw: np.ndarray, logq: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """D_i = sum_j W_ij log2(W_ij / q_j) = wlogw_i - (W log2 q)_i in bits, written into out.
 
-    A dead output (q_j == 0) is read as log2 q_j = 0, so every D_i is finite.
-    That is exact for a row that reaches no dead output.  A row that does gets
-    a value below its true divergence, which is +inf or, when q_j underflowed
-    (5e-324 * 0.25 == 0 although both factors are positive), merely huge.
+    logq is log2 q for the output distribution q = p W.  A caller that reads
+    log2 q_j as 0 at a dead output (q_j == 0) keeps every D_i finite: exact
+    for a row that reaches no dead output, and below the true divergence for
+    one that does (+inf, or merely huge when q_j underflowed: 5e-324 * 0.25 == 0).
     """
-    q = p @ W
-    return wlogw - W @ np.log2(np.where(q > 0.0, q, 1.0))
+    return np.subtract(wlogw, np.matmul(W, logq, out=out), out=out)
 
 
 def _masked_step(
@@ -95,21 +94,26 @@ def _masked_step(
     wlogw: np.ndarray,
     p: np.ndarray,
     q: np.ndarray,
+    logq: np.ndarray,
     alphabet: np.ndarray | None,
     D: np.ndarray,
 ) -> tuple[float, float]:
     """(lower, upper) for one BA iteration that has a dead output or a restricted alphabet.
 
-    q is p W.  D is recomputed by _divergences, so the lower end p . D counts
-    a row that reaches a dead output below its true share and stays a lower
-    bound.  The upper end is the max over the alphabet (all inputs when
-    alphabet is None) with D_i = +inf for such a row, so a bracket that
-    misses a dead output is never certified.  D is left holding the update
-    exponents: D_i minus its max over the support of p, and -inf off it.
+    q is p W, logq its log2 and D their divergences.  D is recomputed with
+    log2 q_j = 0 at a dead output, so the lower end p . D counts a row that
+    reaches one below its true share and stays a lower bound.  The upper end
+    is the max over the alphabet (all inputs when alphabet is None) with
+    D_i = +inf for such a row, so a bracket that misses a dead output is never
+    certified.  D is left holding the update exponents: D_i minus its max
+    over the support of p, and -inf off it.
     """
-    D[:] = _divergences(W, wlogw, p)
+    dead = q == 0.0
+    if dead.any():
+        logq[dead] = 0.0
+        _divergences(W, wlogw, logq, D)
     lower = float(p @ D)
-    top = np.where(W[:, q == 0.0].any(axis=1), np.inf, D)
+    top = np.where(W[:, dead].any(axis=1), np.inf, D)
     upper = float(top.max() if alphabet is None else top[alphabet].max())
     support = p > 0.0
     D -= D[support].max()
@@ -125,7 +129,8 @@ def mutual_information(P: ChannelMatrix, p: Sequence[float]) -> float:
     config.check_per_letter(P.n)
     arr = _as_prob_vector(p, P.dim)
     W, wlogw = _float_matrix(P)
-    D = _divergences(W, wlogw, arr)
+    q = arr @ W
+    D = _divergences(W, wlogw, np.log2(np.where(q > 0.0, q, 1.0)), np.empty(P.dim))
     support = arr > 0.0
     return float(arr[support] @ D[support]) / P.n
 
@@ -212,14 +217,13 @@ def blahut_arimoto(
         for it in range(1, max_iter + 1):
             np.matmul(p, W, out=q)
             np.log2(q, out=logq)
-            np.matmul(W, logq, out=D)
-            np.subtract(wlogw, D, out=D)
+            _divergences(W, wlogw, logq, D)
             upper = float(D.max())
             if alphabet is None and math.isfinite(upper):
                 lower = float(p.dot(D))
                 D -= upper
             else:
-                lower, upper = _masked_step(W, wlogw, p, q, alphabet, D)
+                lower, upper = _masked_step(W, wlogw, p, q, logq, alphabet, D)
             if history is not None:
                 history.append((lower / P.n, upper / P.n))
             gap = (upper - lower) / P.n

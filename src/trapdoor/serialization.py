@@ -14,6 +14,7 @@ is 6 to 10 times faster than level 9, with files within a fifth of level
 from __future__ import annotations
 
 import json
+import math
 import operator
 import re
 import struct
@@ -251,7 +252,12 @@ def bound_report(result) -> dict:
 
 
 def ba_report(report, bound: float) -> dict:
-    """JSON-ready dict for an OptimizationReport plus its gap to the bound."""
+    """JSON-ready dict for an OptimizationReport plus its gap to the bound.
+
+    An unbounded bracket (final_gap = inf, from a run that reached an output
+    of float mass 0) is written as null, which strict JSON parsers accept.
+    """
+    gap = report.final_gap
     return {
         "n": report.n,
         "s0": report.s0,
@@ -259,7 +265,7 @@ def ba_report(report, bound: float) -> dict:
         "bound_bits_per_use": bound,
         "gap_to_bound": bound - report.capacity_per_letter,
         "iterations": report.iterations,
-        "bracket_width": report.final_gap,
+        "bracket_width": gap if math.isfinite(gap) else None,
         "converged": report.converged,
         "distribution": [float(x) for x in report.distribution],
     }

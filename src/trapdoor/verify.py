@@ -5,10 +5,10 @@ runner collects (name, ok, detail) tuples for the CLI, and also records a
 ConvergenceError, ArithmeticError or ValueError raised inside a check as a
 failed check that carries the message.  A max_n out of range is a usage
 error: run_checks raises ValueError before any check runs.  The suite
-covers the recursion-vs-definition oracles, the exchange symmetries, the
-exact bound identities, the enumeration/matrix cross-check, the fractal
-equivalences, the pre-normalized optimizer closed forms, and the numerical
-simplex certification.
+covers the recursion-vs-definition oracles, the one-step inverse formula,
+the exchange symmetries, the exact bound identities, the enumeration/matrix
+cross-check, the fractal equivalences, the pre-normalized optimizer closed
+forms, and the numerical simplex certification.
 
 The second-to-last optimizer entry follows the closed form -3*2**(n-3) at
 even lengths; at odd lengths >= 3 the exact value is -3*2**(n-5) (the block
@@ -32,7 +32,6 @@ from .channel import (
     disjoint_support_check,
     exchange_conjugate,
     invert_channel_matrix,
-    invert_two_step,
 )
 from .dyadic import Dyadic
 from .matrices import DyadicMatrix
@@ -95,13 +94,24 @@ def _check_inverse_row_sums(ctx: _Context) -> str:
     return f"inverse row sums are exactly 1, n <= {ctx.max_n}"
 
 
-def _check_two_step_inverse(ctx: _Context) -> str:
-    for n in range(0, ctx.max_n + 1, 2):
-        for s0 in (0, 1):
-            assert invert_two_step(n, s0) == ctx.inverse(n, s0), (
-                f"two-step inverse differs at n={n}, s0={s0}"
-            )
-    return f"four-block inverse equals one-step inverse, even n <= {ctx.max_n}"
+def _check_inverse_blocks(ctx: _Context) -> str:
+    # the inverse comes from the four-block ladder, so it is checked against the
+    # paper's one-step formula [[A, 0], [-A P(n-1,1) A, 2A]], A = P(n-1,0)^-1
+    for n in range(1, ctx.max_n + 1):
+        inv, A, h = ctx.inverse(n, 0), ctx.inverse(n - 1, 0), 1 << (n - 1)
+        a, e = inv.array, inv.exp
+        assert DyadicMatrix(a[:h, :h], e) == A, f"P(n,0)^-1 block (0, 0) differs from A at n={n}"
+        assert not a[:h, h:].any(), f"P(n,0)^-1 block (0, 1) is not zero at n={n}"
+        assert DyadicMatrix(a[h:, h:], e + 1) == A, f"P(n,0)^-1 block (1, 1) differs from 2A at n={n}"
+        # -A P(n-1,1) A, compared row block by row block without holding it
+        corner = DyadicMatrix(-a[h:, :h], e)
+        assert (A @ ctx.matrix(n - 1, 1).data).product_equals(A, corner), (
+            f"P(n,0)^-1 block (1, 0) differs from -A P(n-1,1) A at n={n}"
+        )
+    return (
+        f"P(n,0)^-1 equals [[A, 0], [-A P(n-1,1) A, 2A]], A = P(n-1,0)^-1, "
+        f"block by block, n <= {ctx.max_n}"
+    )
 
 
 def _check_exchange_symmetry(ctx: _Context) -> str:
@@ -276,7 +286,7 @@ CHECKS: list[tuple[str, Callable[[_Context], str]]] = [
     ("channel matrices stochastic", _check_stochastic),
     ("exact inverses", _check_inverse_identity),
     ("inverse row sums", _check_inverse_row_sums),
-    ("two-step inverse", _check_two_step_inverse),
+    ("one-step inverse blocks", _check_inverse_blocks),
     ("exchange symmetry", _check_exchange_symmetry),
     ("entropy recursions", _check_entropy_recursions),
     ("weight recursions", _check_omega_recursions),

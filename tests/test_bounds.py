@@ -32,7 +32,6 @@ from trapdoor.bounds import (
     omega_state1,
     upper_bound,
 )
-from trapdoor.channel import reverse_vector
 from trapdoor.dyadic import Dyadic
 from trapdoor.matrices import DyadicMatrix
 
@@ -86,9 +85,7 @@ def test_entropy_recursions_match_direct(n, pairs):
 @pytest.mark.parametrize("n", range(0, 11))
 def test_entropy_state1_is_reversal(n, pairs):
     assert entropy_state1(n).entries == entropy_vector_direct(pairs(n)[1]).entries
-    assert entropy_state1(n).entries == reverse_vector(
-        entropy_vector_direct(pairs(n)[0]).entries
-    )
+    assert entropy_state1(n).entries == entropy_vector_direct(pairs(n)[0]).entries[::-1]
 
 
 def test_entropy_vector_validation():
@@ -180,7 +177,7 @@ def test_omega_recursive_examples():
 def test_omega_state1_examples():
     assert omega_state1(1).entries == [-2, 0]
     assert omega_state1(2).entries == [0, -2, -2, 0]
-    assert omega_state1(3).entries == reverse_vector(omega_recursive(3).entries)
+    assert omega_state1(3).entries == omega_recursive(3).entries[::-1]
 
 
 @pytest.mark.parametrize("n", range(0, 11))
@@ -300,7 +297,7 @@ def test_upper_bound_state1_matches_state0():
     b0, b1 = upper_bound(3, 0), upper_bound(3, 1)
     assert b0.S == b1.S
     assert b0.c_up == b1.c_up
-    assert b1.d == reverse_vector(b0.d)
+    assert b1.d == b0.d[::-1]
 
 
 # -- pre-normalized optimizer -------------------------------------------------
@@ -415,7 +412,7 @@ def test_state_coupling_identity_even_lengths(n, pairs, inverses):
     # P(2n,1) P(2n,0)^-1 h(2n,0) equals the reversal of h(2n,0)
     P1 = pairs(n)[1]
     h0 = entropy_vector_direct(pairs(n)[0]).entries
-    assert P1.data.matvec(inverses(n, 0).matvec(h0)) == reverse_vector(h0)
+    assert P1.data.matvec(inverses(n, 0).matvec(h0)) == h0[::-1]
 
 
 def test_d_vector_equals_transposed_inverse_times_weights(inverses):

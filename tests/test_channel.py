@@ -20,7 +20,6 @@ from trapdoor.channel import (
     exchange_conjugate,
     invert_channel_matrix,
     invert_two_step,
-    reverse_vector,
 )
 from trapdoor.dyadic import Dyadic
 from trapdoor.matrices import DyadicMatrix
@@ -174,19 +173,13 @@ def test_exchange_on_identity():
     assert exchange_conjugate(I) == I
 
 
-def test_reverse_vector():
-    assert reverse_vector([0, -2]) == [-2, 0]
-    assert reverse_vector([0, -2, -2, 0]) == [0, -2, -2, 0]
-    assert reverse_vector(reverse_vector([1, 2, 3])) == [1, 2, 3]
-
-
 def test_reverse_vector_entropy_example(pairs):
     from trapdoor.bounds import entropy_vector_direct
 
     h20 = entropy_vector_direct(pairs(2)[0]).entries
     h21 = entropy_vector_direct(pairs(2)[1]).entries
     assert h20 == [ZERO, ONE, Dyadic(3, 1), Dyadic(3, 1)]
-    assert reverse_vector(h20) == h21
+    assert h20[::-1] == h21
 
 
 def test_disjoint_support(pairs):

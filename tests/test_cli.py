@@ -84,18 +84,17 @@ def test_matrix_csv_stdout(capsys):
     assert out.splitlines() == ["n=1,s0=0,dim=2", "1/2^0,0", "1/2^1,1/2^1"]
 
 
-def test_matrix_inverse_two_step(capsys):
-    code_one, out_one, _ = run(capsys, "matrix", "-n", "2", "--inverse")
-    code_two, out_two, _ = run(capsys, "matrix", "-n", "2", "--inverse", "--two-step")
-    assert code_one == code_two == 0
-    assert out_one == out_two
-    assert out_one.splitlines()[3] == "2  -3  -2  4"
+def test_matrix_inverse_last_row(capsys):
+    code, out, _ = run(capsys, "matrix", "-n", "2", "--inverse")
+    assert code == 0
+    assert out.splitlines()[3] == "2  -3  -2  4"
 
 
-def test_matrix_two_step_without_inverse_is_usage_error(capsys):
-    code, _, err = run(capsys, "matrix", "-n", "2", "--two-step")
-    assert code == 2
-    assert "inverse" in err
+def test_matrix_two_step_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "matrix", "-n", "2", "--inverse", "--two-step")
+    assert exc.value.code == 2
+    assert "--two-step" in capsys.readouterr().err
 
 
 def test_entropy_agreement(capsys):
@@ -165,6 +164,32 @@ def test_exchange_symmetry_catches_a_transposed_state_one(monkeypatch, bad):
     [result] = verify.run_checks(5, ["exchange symmetry"])
     assert not result.ok
     assert result.detail.endswith(f"differs from the state-1 recursion at n={bad}")
+
+
+def test_inverse_blocks_check_the_one_step_formula():
+    [result] = verify.run_checks(5, ["one-step inverse blocks"])
+    assert result.ok
+    assert result.detail == (
+        "P(n,0)^-1 equals [[A, 0], [-A P(n-1,1) A, 2A]], A = P(n-1,0)^-1, block by block, n <= 5"
+    )
+
+
+@pytest.mark.parametrize("delta", (-1, 1))
+def test_inverse_blocks_catch_one_changed_lower_left_entry(monkeypatch, delta):
+    real = verify._Context.inverse
+
+    def changed(self, n, s0):
+        inv = real(self, n, s0)
+        if n != 3 or s0 != 0:
+            return inv
+        a = inv.array.copy()
+        a[6, 1] += delta  # row 6, column 1: inside the lower-left 4 x 4 block
+        return DyadicMatrix(a, inv.exp)
+
+    monkeypatch.setattr(verify._Context, "inverse", changed)
+    [result] = verify.run_checks(5, ["one-step inverse blocks"])
+    assert not result.ok
+    assert result.detail == "P(n,0)^-1 block (1, 0) differs from -A P(n-1,1) A at n=3"
 
 
 def test_out_of_memory_is_usage_error(monkeypatch, capsys):
@@ -293,12 +318,12 @@ def test_resolution_cap_states_the_grid_bytes(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, env",
     [
-        (["matrix", "-n", "16", "--inverse", "--two-step"], "TRAPDOOR_MATRIX_CAP"),
+        (["matrix", "-n", "16", "--inverse"], "TRAPDOOR_MATRIX_CAP"),
         (["bound", "-n", "21"], "TRAPDOOR_BOUND_CAP"),
         (["enumerate", "-i", "0" * 25], "TRAPDOOR_INPUT_CAP"),
         (["sierpinski", "--resolution", "15"], "TRAPDOOR_MATRIX_CAP"),
     ],
-    ids=["two-step", "bound", "enumerate", "sierpinski"],
+    ids=["inverse", "bound", "enumerate", "sierpinski"],
 )
 def test_cap_errors_exit_2(argv, env, monkeypatch, capsys):
     monkeypatch.delenv(env, raising=False)

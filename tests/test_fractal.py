@@ -44,7 +44,7 @@ def test_rho_orientation_matches_printed_matrix(pairs):
 
 def test_rho_upper_right_quadrant_empty(pairs):
     g = rho_representation(pairs(2)[0])
-    assert all(c == EMPTY for row in g.quadrant_codes(0, 1) for c in row)
+    assert all(c == EMPTY for row in g.array[:2, 2:].tolist() for c in row)
 
 
 def test_rho_nonzero_count_matches_matrix(pairs):
@@ -136,10 +136,10 @@ def test_blockwise_structure_at_three(pairs):
     g3 = rho_representation(pairs(3)[0])
     g2 = rho_representation(pairs(2)[0])
     g21 = rho_representation(pairs(2)[1])
-    assert g3.quadrant_codes(0, 0) == g2.codes
-    assert all(c == EMPTY for row in g3.quadrant_codes(0, 1) for c in row)
-    assert g3.quadrant_codes(1, 0) == codes_half(g21.codes)
-    assert g3.quadrant_codes(1, 1) == codes_half(g2.codes)
+    assert g3.array[:4, :4].tolist() == g2.codes
+    assert all(c == EMPTY for row in g3.array[:4, 4:].tolist() for c in row)
+    assert g3.array[4:, :4].tolist() == codes_half(g21.codes)
+    assert g3.array[4:, 4:].tolist() == codes_half(g2.codes)
 
 
 def test_sierpinski_counts_and_layout():

@@ -2,6 +2,7 @@ import json
 import re
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -187,6 +188,24 @@ def test_ba_report_shape(pairs):
     assert abs(rep["gap_to_bound"]) < 1e-6
     assert len(rep["distribution"]) == 2
     json.dumps(rep)  # must be serializable as-is
+
+
+def test_ba_report_writes_an_unbounded_bracket_as_null(pairs):
+    from trapdoor.bounds import closed_form
+    from trapdoor.optimize import blahut_arimoto
+
+    # 5e-324 * 0.25 == 0: the middle rows reach outputs of float mass 0
+    init = np.full(8, 5e-324)
+    init[0] = init[-1] = 0.5
+    report = blahut_arimoto(pairs(3)[0], tol=1e-8, max_iter=500, init=init)
+    assert report.final_gap == float("inf")
+
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    rep = json.loads(serialization.dumps_json(ba_report(report, closed_form(3))), parse_constant=reject)
+    assert rep["bracket_width"] is None
+    assert rep["converged"] is False
 
 
 def test_enumeration_report(pairs):
