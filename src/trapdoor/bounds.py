@@ -272,7 +272,7 @@ def _log2_dyadic(S: Dyadic) -> float:
 
 
 # d needs the exact inverse matrix; beyond this length it is skipped unless
-# explicitly requested (inversion cost grows roughly 8x per extra bit)
+# explicitly requested (the dense inverse has 4**n entries: 512 MB at n = 13)
 D_AUTO_LIMIT = 10
 
 

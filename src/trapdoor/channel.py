@@ -16,21 +16,21 @@ state 0 is computed: P(n, 1) and its inverse are the state-0 arrays read with
 both axes reversed, views that share their memory.  P(n, 0) is lower block
 triangular, so [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]] gives
 the one-step formula P(n,0)^-1 = [[A, 0], [-A P(n-1,1) A, 2 A]] with
-A = P(n-1,0)^-1.  The inverse is computed in exact integers by one ladder
-that applies this formula twice per step (the paper's four-block recursion);
-the one-step formula itself is checked block by block in trapdoor.verify.
+A = P(n-1,0)^-1.  The inverse is computed from it without any matrix
+product: the blocks of A_k U_k^j, U_k = P(k,1) A_k, follow level by level
+as small integer multiples of the blocks one level down.  The one-step
+formula itself is checked block by block in trapdoor.verify.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator, Union
 
 import numpy as np
 
 from . import config
 from .dyadic import Dyadic
-from .matrices import DyadicMatrix, dtype_for, exact_product, max_abs, shift_down
+from .matrices import DyadicMatrix, dtype_for, max_abs
 
 
 _BLOCK_CELLS = 1 << 16  # entries per block of rows in ChannelMatrix.halvings
@@ -91,18 +91,17 @@ class ChannelMatrix:
         return f"ChannelMatrix(n={self.n}, s0={self.s0})"
 
 
-def _ladder(n: int) -> Iterator[np.ndarray]:
-    """P(k, 0) scaled by 2**k for k = 0..n, as views of one array built in place.
+def _ladder(n: int) -> np.ndarray:
+    """P(n, 0) scaled by 2**n, built in place in one array.
 
     Level k is the top-left 2**k x 2**k corner; its exchange view
     ``a[::-1, ::-1]`` is P(k, 1) at the same scale.  The array has the
     narrowest dtype that holds 2**n, and each level is written from the one
-    before without temporaries, so a level stays valid until the next is asked for.
+    before without temporaries.
     """
     dim = 1 << n
     p = np.zeros((dim, dim), dtype=dtype_for(dim))
     p[0, 0] = 1
-    yield p[:1, :1]
     for k in range(n):
         h = 1 << k
         a = p[:h, :h]
@@ -110,7 +109,7 @@ def _ladder(n: int) -> Iterator[np.ndarray]:
         p[h : 2 * h, h : 2 * h] = a
         p[h : 2 * h, :h] = a[::-1, ::-1]
         a <<= 1
-        yield p[: 2 * h, : 2 * h]
+    return p
 
 
 _MATRIX_COST = "storage is 4**{n} entries"
@@ -123,8 +122,7 @@ def build_channel_matrix(n: int, s0: int) -> ChannelMatrix:
     """
     s0 = config.check_state(s0)
     config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
-    *_, top = _ladder(n)
-    P = ChannelMatrix(n, 0, DyadicMatrix(top, n))
+    P = ChannelMatrix(n, 0, DyadicMatrix(_ladder(n), n))
     return exchange_conjugate(P) if s0 else P
 
 
@@ -134,60 +132,40 @@ def channel_pair(n: int) -> tuple[ChannelMatrix, ChannelMatrix]:
     return P0, exchange_conjugate(P0)
 
 
-def _corner(inv: np.ndarray, mid: np.ndarray, right: np.ndarray, k: int) -> np.ndarray:
-    """inv @ mid @ right / 2**k exactly; raises ArithmeticError if the division is not exact."""
-    out = shift_down(exact_product(exact_product(inv, mid), right), k)
-    if out is None:
-        raise ArithmeticError(f"corner block is not divisible by 2^{k}")
-    return out
+def _level(x: list[np.ndarray], m: int) -> list[np.ndarray]:
+    """X_k(j) for j = 0..m from the blocks x[j] = X_{k-1}(j), j = 0..m+1.
 
-
-def _assemble(grid: list[list]) -> np.ndarray:
-    """The block matrix of an inversion level, written into one preallocated array.
-
-    Each cell of the grid is a (coefficient, block) pair, or None for a zero
-    block.  The array's dtype is the narrowest that holds the largest
-    |coefficient * entry|, and each block is scaled in that dtype, so no
+    X_k(j) = [[(1-j) X(j), j X(j-1)], [-(j+1) X(j+1), (j+2) X(j)]] with
+    X = X_{k-1}.  Each quarter of X_k(j) is one coefficient times one block
+    of x, so X_k(j) is written into one array of the narrowest dtype that
+    holds the largest |coefficient * entry|, and scaled in that dtype: no
     product wraps.
     """
-    blocks = [cell for row in grid for cell in row if cell]
-    side = blocks[0][1].shape[0]
-    top = max(abs(c) * max_abs(b) for c, b in blocks)
-    out = np.zeros((side * len(grid),) * 2, dtype=dtype_for(top))
-    for i, row in enumerate(grid):
-        for j, cell in enumerate(row):
-            if cell:
-                view = out[i * side : (i + 1) * side, j * side : (j + 1) * side]
-                view[...] = cell[1]
-                if cell[0] != 1:
-                    view *= cell[0]
+    h = len(x[0])
+    tops = [max_abs(b) for b in x]
+    out = []
+    for j in range(m + 1):
+        cells = ((0, 0, 1 - j, j), (0, h, j, j - 1), (h, 0, -(j + 1), j + 1), (h, h, j + 2, j))
+        blk = np.zeros((2 * h, 2 * h), dtype=dtype_for(max(abs(c) * tops[i] for *_, c, i in cells)))
+        for r, s, c, i in cells:
+            if c:
+                np.multiply(x[i], c, out=blk[r : r + h, s : s + h], dtype=blk.dtype)
+        out.append(blk)
     return out
 
 
 def _inverse_ladder(n: int) -> DyadicMatrix:
-    """P(n, 0)^-1, two levels at a time by the four-block recursion.
+    """P(n, 0)^-1 by an integer recursion that needs no matrix product.
 
-    Applying the one-step formula
-        P(k, 0)^-1 = [[A, 0], [-A P(k-1,1) A, 2 A]],  A = P(k-1, 0)^-1,
-    twice writes P(k, 0)^-1 in the 4 x 4 blocks of A = P(k-2, 0)^-1, the
-    corner product M = A P(k-2,1) A and F = M P(k-2,1) A.  The step holds
-    from any level, so even n start from P(0, 0)^-1 = [1] and odd n from
-    P(1, 0)^-1 = [[1, 0], [-1, 2]].
+    With A_k = P(k, 0)^-1 and U_k = P(k, 1) A_k, the one-step formula gives
+    U_k = [[0, I], [-U_{k-1}^2, 2 U_{k-1}]], so X_k(j) = A_k U_k^j follows
+    from the level below by _level, starting from X_0(j) = [1].  Level k
+    needs j <= n - k, and P(n, 0)^-1 = X_n(0).
     """
-    levels = islice(_ladder(n - 2), n % 2, None, 2)
-    inv = np.array([[1, 0], [-1, 2]] if n % 2 else [[1]], dtype=np.int16)
-    for k in range(2 + n % 2, n + 1, 2):
-        mid = next(levels)[::-1, ::-1]  # P(k-2, 1), scaled by 2**(k-2)
-        m = _corner(inv, mid, inv, k - 2)
-        f = _corner(m, mid, inv, k - 2)
-        grid = [
-            [(1, inv), None, None, None],
-            [(-1, m), (2, inv), None, None],
-            [None, (-1, inv), (2, inv), None],
-            [(2, f), (-3, m), (-2, m), (4, inv)],
-        ]
-        inv = _assemble(grid)
-    return DyadicMatrix(inv, 0)
+    x = [np.ones((1, 1), dtype=np.int16)] * (n + 1)
+    for k in range(1, n + 1):
+        x = _level(x, n - k)
+    return DyadicMatrix(x[0], 0)
 
 
 def invert_channel_matrix(P: ChannelMatrix) -> DyadicMatrix:
@@ -202,7 +180,7 @@ def invert_channel_matrix(P: ChannelMatrix) -> DyadicMatrix:
 def invert_two_step(n: int, s0: int) -> DyadicMatrix:
     """Inverse of P(n, s0) for even n; raises ValueError at odd n.
 
-    The same ladder as invert_channel_matrix, without building P(n, s0) first.
+    The same recursion as invert_channel_matrix, without building P(n, s0) first.
     """
     s0 = config.check_state(s0)
     config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)

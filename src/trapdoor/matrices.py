@@ -20,7 +20,7 @@ operands are cut into limbs (signed digits in base 2**L) chosen so that each
 pair of limbs meets it, and the shifted limb products are summed in int64, or
 in Python ints once the bound on the result leaves int64.  The left factor
 is converted one block of rows at a time, so no float copy of it is ever
-whole.  A matrix-vector product is the same product with one column.
+whole; the right factor is cut once, for the largest row sum of them all.  A matrix-vector product is the same product with one column.
 """
 
 from __future__ import annotations
@@ -74,18 +74,6 @@ def max_abs(x: np.ndarray) -> int:
     return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
-def _exact_float(b: np.ndarray) -> np.ndarray | None:
-    """Integer array b as float64 when every |entry| < 2**53 (so the
-    conversion is exact), else None."""
-    try:
-        f = b.astype(np.float64)
-    except OverflowError:
-        return None
-    if max_abs(f) >= _FLOAT_EXACT:
-        return None
-    return f
-
-
 def _max_row_sum(x: np.ndarray) -> int:
     """max_i sum_k |x_ik| as a Python int, summed in Python ints where int64 could overflow."""
     if not x.size:
@@ -109,40 +97,33 @@ def _limbs(x: np.ndarray, width: int) -> list[np.ndarray]:
 
 
 class _RightFactor:
-    """Right factor b of exact products, held as float64 limbs cut for the narrowest width asked.
+    """Right factor b of exact products, cut on first use into float64 limbs of base 2**width.
 
-    ``b`` is an integer array; it is read again only when narrower limbs are needed.
+    The width is fixed when the factor is made, from the whole left factor,
+    so b is cut at most once.
     """
 
-    def __init__(self, b: np.ndarray) -> None:
+    def __init__(self, b: np.ndarray, width: int) -> None:
         self.b = b
-        whole = _exact_float(b)
-        self.max_abs = max_abs(b if whole is None else whole)
-        self.width = max(self.max_abs.bit_length(), 1)
-        self._limbs: list[tuple[np.ndarray, int]] = [] if whole is None else [(whole, self.max_abs)]
+        self.max_abs = max_abs(b)
+        self.width = max(1, min(width, self.max_abs.bit_length()))
+        self._limbs: list[tuple[np.ndarray, int]] | None = None
 
-    def limbs(self, width: int) -> list[tuple[np.ndarray, int]]:
-        """(float64 limb, max |entry|) pairs in a base 2**w with w <= width.
-
-        Limbs narrower than asked still meet the caller's bound, so they are
-        cut again only when a narrower width is asked for.
-        """
-        width = min(width, max(self.max_abs.bit_length(), 1))
-        if not self._limbs or width < self.width:
-            self._limbs = []  # release the old limbs before making new ones
-            self._limbs = [(v.astype(np.float64), max_abs(v)) for v in _limbs(self.b, width)]
-            self.width = width
+    def limbs(self) -> list[tuple[np.ndarray, int]]:
+        """(float64 limb, max |entry|) pairs: b == sum_t limb_t << (t * width)."""
+        if self._limbs is None:
+            self._limbs = [(v.astype(np.float64), max_abs(v)) for v in _limbs(self.b, self.width)]
         return self._limbs
 
 
-def _block_product(a: np.ndarray, right: _RightFactor) -> np.ndarray:
+def _block_product(a: np.ndarray, ra: int, right: _RightFactor) -> np.ndarray:
     """a @ b exactly, as int64, or as an object array of Python ints past int64.
 
-    Every float64 product runs only after its bound check: max row sum of
-    |a limb| times max |b limb| must stay below 2**53.
+    ra is the max row sum of |a|.  Every float64 product runs only after its
+    bound check: max row sum of |a limb| times max |b limb| must stay below 2**53.
     """
     shape = (a.shape[0], right.b.shape[1])
-    ra, mb = _max_row_sum(a), right.max_abs
+    mb = right.max_abs
     if ra == 0 or mb == 0:
         return np.zeros(shape, dtype=np.int64)
     if ra.bit_length() <= _ROW_SUM_BITS:
@@ -151,11 +132,10 @@ def _block_product(a: np.ndarray, right: _RightFactor) -> np.ndarray:
         # limb row sums stay below inner * 2**a_width <= 2**_ROW_SUM_BITS
         a_width = max(1, _ROW_SUM_BITS - a.shape[1].bit_length())
         a_limbs = [(v.astype(np.float64), _max_row_sum(v)) for v in _limbs(a, a_width)]
-    b_limbs = right.limbs(53 - max(s for _, s in a_limbs).bit_length())
     wide = ra * mb >= _INT64_LIMIT  # |any partial sum of shifted limb products| <= ra * mb
     acc = np.zeros(shape, dtype=object if wide else np.int64)
     for s, (a_f, a_sum) in enumerate(a_limbs):
-        for t, (b_f, b_max) in enumerate(b_limbs):
+        for t, (b_f, b_max) in enumerate(right.limbs()):
             if a_sum * b_max >= _FLOAT_EXACT:
                 raise ArithmeticError("a float64 limb product could round")
             part = (a_f @ b_f).astype(np.int64)
@@ -165,15 +145,23 @@ def _block_product(a: np.ndarray, right: _RightFactor) -> np.ndarray:
     return acc
 
 
-def _row_blocks(a: np.ndarray, right: _RightFactor) -> Iterator[tuple[int, np.ndarray]]:
-    """Exact products with b of a's rows, _BLOCK_ROWS at a time, each with its first row index."""
-    for start in range(0, len(a), _BLOCK_ROWS):
-        yield start, _block_product(a[start : start + _BLOCK_ROWS], right)
+def _row_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Exact products with b of a's rows, _BLOCK_ROWS at a time, each with its first row index.
+
+    Every block's limbs have row sums below 2**_ROW_SUM_BITS, and below the
+    largest row sum of |a|, so limbs of b cut for that bound serve all blocks.
+    """
+    starts = range(0, len(a), _BLOCK_ROWS)
+    sums = [_max_row_sum(a[start : start + _BLOCK_ROWS]) for start in starts]
+    bits = min(max(sums, default=0).bit_length(), _ROW_SUM_BITS)
+    right = _RightFactor(b, 53 - bits)
+    for start, ra in zip(starts, sums):
+        yield start, _block_product(a[start : start + _BLOCK_ROWS], ra, right)
 
 
 def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b exactly for integer arrays: int64, or an object array of Python ints past int64."""
-    return np.concatenate([block for _, block in _row_blocks(a, _RightFactor(b))])
+    return np.concatenate([block for _, block in _row_blocks(a, b)])
 
 
 def shift_down(x: np.ndarray, k: int) -> np.ndarray | None:
@@ -312,7 +300,7 @@ class DyadicMatrix:
             except ValueError:
                 return False
             shift = 0
-        for start, block in _row_blocks(self.array, _RightFactor(other.array)):
+        for start, block in _row_blocks(self.array, other.array):
             rows = len(block)
             block = shift_down(block, shift)
             if expected is None:

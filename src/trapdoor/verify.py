@@ -5,8 +5,10 @@ runner collects (name, ok, detail) tuples for the CLI, and also records a
 ConvergenceError, ArithmeticError or ValueError raised inside a check as a
 failed check that carries the message.  A max_n out of range is a usage
 error: run_checks raises ValueError before any check runs.  The suite
-covers the recursion-vs-definition oracles, the one-step inverse formula,
-the exchange symmetries, the exact bound identities, the enumeration/matrix
+covers the recursion-vs-definition oracles, the exact inverses (computed by
+trapdoor.channel without any matrix product, so checked here by exact
+products: P P^-1 = I and the paper's one-step block formula), the exchange
+symmetries, the exact bound identities, the enumeration/matrix
 cross-check, the fractal equivalences, the pre-normalized optimizer closed
 forms, and the numerical simplex certification.
 
@@ -95,8 +97,8 @@ def _check_inverse_row_sums(ctx: _Context) -> str:
 
 
 def _check_inverse_blocks(ctx: _Context) -> str:
-    # the inverse comes from the four-block ladder, so it is checked against the
-    # paper's one-step formula [[A, 0], [-A P(n-1,1) A, 2A]], A = P(n-1,0)^-1
+    # the inverse comes from a product-free recursion, so it is checked against
+    # the paper's one-step formula [[A, 0], [-A P(n-1,1) A, 2A]], A = P(n-1,0)^-1
     for n in range(1, ctx.max_n + 1):
         inv, A, h = ctx.inverse(n, 0), ctx.inverse(n - 1, 0), 1 << (n - 1)
         a, e = inv.array, inv.exp

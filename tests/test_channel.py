@@ -13,7 +13,7 @@ from oracles import (
 )
 from trapdoor.bounds import entropy_vector_direct
 from trapdoor.channel import (
-    _assemble,
+    _level,
     build_channel_matrix,
     channel_pair,
     disjoint_support_check,
@@ -131,14 +131,31 @@ def test_narrowest_dtypes(n, pairs, inverses):
         assert not pairs(n)[s0].data.array.flags.writeable
 
 
-def test_assembly_widens_instead_of_wrapping():
-    top = np.full((2, 2), (1 << 31) - 1, dtype=np.int32)
-    out = _assemble([[(2, top), None], [(-1, top), (1, top)]])
+def test_level_widens_instead_of_wrapping():
+    # m = 0: X_k(0) = [[X(0), 0], [-X(1), 2 X(0)]]
+    t = (1 << 31) - 1
+    top = [np.full((2, 2), t, dtype=np.int32)] * 2
+    (out,) = _level(top, 0)
     assert out.dtype == np.int64
-    assert out.tolist() == [[(1 << 32) - 2] * 2 + [0, 0]] * 2 + [[1 - (1 << 31)] * 2 + [(1 << 31) - 1] * 2] * 2
-    big = np.full((1, 1), 1 << 62, dtype=np.int64)
-    out = _assemble([[(2, big), None], [None, (-3, big)]])
-    assert out.dtype == object and out.tolist() == [[1 << 63, 0], [0, -3 << 62]]
+    assert out.tolist() == [[t, t, 0, 0]] * 2 + [[-t, -t, 2 * t, 2 * t]] * 2
+    big = [np.full((1, 1), 1 << 62, dtype=np.int64)] * 3
+    out = _level(big, 1)  # j = 1 scales X(0) by 1, X(1) by 3 and X(2) by -2
+    assert [blk.dtype for blk in out] == [object, object]
+    assert [blk.tolist() for blk in out] == [[[1 << 62, 0], [-1 << 62, 1 << 63]], [[0, 1 << 62], [-1 << 63, 3 << 62]]]
+
+
+@pytest.mark.parametrize("k", range(0, 7))
+def test_level_stack_is_inverse_times_powers(k):
+    """X_k(j) == A_k (P(k,1) A_k)^j with A_k = P(k,0)^-1, for j <= 3."""
+    x = [np.ones((1, 1), dtype=np.int16)] * (k + 4)
+    for level in range(1, k + 1):
+        x = _level(x, k + 3 - level)
+    A = DyadicMatrix(invert_ladder_lists(k, 0))
+    U = build_channel_matrix(k, 1).data.matmul(A)
+    want = A
+    for j in range(4):
+        assert DyadicMatrix(x[j]) == want
+        want = want.matmul(U)
 
 
 @pytest.mark.parametrize("delta", (-1, 1))

@@ -209,7 +209,7 @@ def _not_converged(P, tol=1e-10, max_iter=200_000, **kwargs):
 
 
 def _no_exact_weights(*args, **kwargs):
-    raise ArithmeticError("corner block is not divisible by 2^3")
+    raise ArithmeticError("weights are not exact")
 
 
 def test_run_checks_records_internal_failures(monkeypatch):
@@ -220,7 +220,7 @@ def test_run_checks_records_internal_failures(monkeypatch):
         ("weight recursions", False),
         ("simplex certification", False),
     ]
-    assert results[0].detail == "ArithmeticError: corner block is not divisible by 2^3"
+    assert results[0].detail == "ArithmeticError: weights are not exact"
     assert results[1].detail.startswith("ConvergenceError: bracket 1.000e+00 > tol 1.000e-08")
 
 

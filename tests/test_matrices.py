@@ -4,7 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import _pack_rows, _unpack_row
 from trapdoor.dyadic import Dyadic
-from trapdoor.matrices import DyadicMatrix
+from trapdoor import matrices
+from trapdoor.matrices import DyadicMatrix, exact_product
 
 
 def naive_matmul(a, b):
@@ -211,3 +212,25 @@ def test_public_results_are_python_types():
     assert m.product_equals(inv, DyadicMatrix([[1, 1], [0, 1]], 0)) is False
     values = m.matvec([Dyadic(1), Dyadic(1, 1)]) + m.row_sums() + m.row_dyadics(1)
     assert all(type(d.num) is int for d in values)
+
+
+def test_right_factor_is_cut_once_when_later_row_blocks_have_larger_sums(monkeypatch):
+    # the first block of 128 rows has row sums 8, the second 8 * 2**20, so the
+    # second needs narrower limbs of b (entries near 2**50) than the first
+    a = np.full((256, 4), 2, dtype=np.int64)
+    a[128:] <<= 20
+    a[200, 1] = -a[200, 1]
+    b = np.array([[(1 << 50) - 1, -(1 << 49) + 3, 7]] * 4, dtype=np.int64)
+    b[2, 0] = 5
+    cuts = []
+    cut = matrices._limbs
+
+    def counted(x, width):
+        if x is b:
+            cuts.append(width)
+        return cut(x, width)
+
+    monkeypatch.setattr(matrices, "_limbs", counted)
+    want = [[sum(int(p) * int(q) for p, q in zip(row, col)) for col in b.T] for row in a]
+    assert exact_product(a, b).tolist() == want
+    assert len(cuts) == 1
