@@ -73,7 +73,6 @@ from .serialization import (
     format_dyadic,
     parse_dyadic,
     read_matrix_csv,
-    write_json,
     write_matrix_csv,
     write_pgm,
     write_png,

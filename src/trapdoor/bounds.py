@@ -12,8 +12,8 @@ relaxed feasible set (sum-to-one distributions with non-negative output
 masses), hence an upper bound on the n-letter capacity.  Both h and w obey
 cheap block recursions that avoid building any matrix, which this module
 implements alongside the direct definitions; the two routes are checked
-against each other in the test suite.  All quantities except the final
-base-2 logarithms are exact.
+against each other in the test suite; d, too, comes from the recursion for
+P^-1 without a matrix.  All quantities except the final logarithms are exact.
 
 The even-length bound is log2(5/2)/2 = 0.660964... for every even n; the
 odd-length bounds increase strictly toward that value.  The pre-normalized
@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import config
-from .channel import ChannelMatrix, build_channel_matrix, invert_channel_matrix
+from .channel import ChannelMatrix, build_channel_matrix, invert_channel_matrix, times_inverse
 from .dyadic import Dyadic
 from .matrices import DyadicMatrix, exact_product, int_array, shift_down
 
@@ -134,8 +134,7 @@ class BoundResult:
     """Exact bound data for one block length.
 
     d holds the pre-normalized optimizer of the relaxed problem (the optimum
-    itself is d / S); it is only available while the inverse matrix fits the
-    resource cap, and is None beyond it.
+    itself is d / S), and is None only when upper_bound was asked to skip it.
     """
 
     n: int
@@ -271,31 +270,21 @@ def _log2_dyadic(S: Dyadic) -> float:
     return math.log2(S.num) - S.exp
 
 
-# d needs the exact inverse matrix; beyond this length it is skipped unless
-# explicitly requested (the dense inverse has 4**n entries: 512 MB at n = 13)
-D_AUTO_LIMIT = 10
-
-
-def upper_bound(n: int, s0: int = 0, include_d: bool | None = None) -> BoundResult:
+def upper_bound(n: int, s0: int = 0, include_d: bool = True) -> BoundResult:
     """Bound for block length n: exact S = sum 2**w_i and c_up = log2(S)/n.
 
-    The weight vector comes from the block recursions, so this works up to
-    the bound cap.  The pre-normalized optimizer d is attached automatically
-    for n <= D_AUTO_LIMIT; pass include_d=True to force it (matrix cap
-    permitting) or False to skip it.
+    The weight vector comes from the block recursions and d from d_vector,
+    which builds no matrix, so this works up to the bound cap.  Pass
+    include_d=False to skip d, whose O(n**2 2**n) cost dominates past
+    n = 15 (seconds at n = 18 to 20).
     """
     config.check_per_letter(n)
     s0 = config.check_state(s0)
     w = omega_recursive(n) if s0 == 0 else omega_state1(n)
     S = exp2_sum(w.array)
     c_up = _log2_dyadic(S) / n
-    if include_d is None:
-        include_d = n <= min(D_AUTO_LIMIT, config.cap(config.MATRIX_CAP_ENV))
-    d = None
-    neg = None
-    if include_d:
-        d = d_vector(n, s0)
-        neg = any(v < 0 for v in d)
+    d = d_vector(n, s0) if include_d else None
+    neg = None if d is None else any(v < 0 for v in d)
     return BoundResult(n=n, s0=s0, S=S, c_up=c_up, d=d, has_negative_d=neg)
 
 
@@ -323,17 +312,17 @@ def d_vector(n: int, s0: int = 0, inverse: DyadicMatrix | None = None) -> list[D
     """Pre-normalized relaxed optimizer d = (P^-1)^T 2**w, exact.
 
     Sums to S, so d / S sums to one.  Negative entries flag that the relaxed
-    optimum is not a probability distribution.
+    optimum is not a probability distribution.  Computed without a matrix by
+    channel.times_inverse; a given dense inverse is used instead, as a cross-check.
     """
     s0 = config.check_state(s0)
     w = omega_recursive(n) if s0 == 0 else omega_state1(n)
-    if inverse is None:
-        inverse = invert_channel_matrix(build_channel_matrix(n, s0))
-    # d_j = sum_i 2**w_i inv_ij: one row vector times the inverse's integer array
     top = -int(w.array.min())
-    x = np.left_shift(1, w.array + top)[None, :]
-    e = top + inverse.exp
-    return [Dyadic(v, e) for v in exact_product(x, inverse.array)[0].tolist()]
+    x = np.left_shift(1, w.array + top)  # 2**w scaled to integers by 2**top
+    if inverse is None:
+        return [Dyadic(v, top) for v in times_inverse(x, s0).tolist()]
+    nums = exact_product(inverse.array.T, x[:, None])[:, 0]
+    return [Dyadic(v, top + inverse.exp) for v in nums.tolist()]
 
 
 def _exact_distribution(p: Sequence) -> tuple[list[Fraction], np.ndarray]:

@@ -168,6 +168,31 @@ def _inverse_ladder(n: int) -> DyadicMatrix:
     return DyadicMatrix(x[0], 0)
 
 
+def times_inverse(x: np.ndarray, s0: int) -> np.ndarray:
+    """x P(n, s0)^-1 for an integer row vector x of 2**n entries, with no matrix.
+
+    _inverse_ladder's recursion on a row vector y = [y_a, y_b]:
+    y X_k(j) = [(1-j) y_a X(j) - (j+1) y_b X(j+1), j y_a X(j-1) + (j+2) y_b X(j)].
+    Level k holds y X_k(j), j = 0..n-k, for every aligned 2**k-entry segment y
+    of x, in the narrowest dtype that holds (2(n-k) + 2) * max |entry|, which
+    bounds every new entry: O(n**2 2**n) work in all, and no product wraps.
+    """
+    if config.check_state(s0):  # P(n, 1)^-1 = J P(n, 0)^-1 J
+        return times_inverse(x[::-1], 0)[::-1]
+    n = len(x).bit_length() - 1
+    y = np.broadcast_to(x, (n + 1, len(x)))  # X_0(j) = [1] for every j
+    for m in reversed(range(n)):  # level k = n - m
+        c = np.arange(m + 1, dtype=dtype_for((2 * m + 2) * max_abs(y)))[:, None, None]
+        a, b = np.moveaxis(y.reshape(m + 2, 1 << m, 2, -1), 2, 0)  # the halves of each segment
+        y = np.empty((m + 1, 1 << m, 2, a.shape[-1]), dtype=c.dtype)
+        np.multiply(1 - c, a[:-1], out=y[:, :, 0])
+        y[:, :, 0] -= (c + 1) * b[1:]
+        np.multiply(c + 2, b[:-1], out=y[:, :, 1])
+        y[1:, :, 1] += c[1:] * a[:-2]
+        y = y.reshape(m + 1, -1)
+    return y[0]
+
+
 def invert_channel_matrix(P: ChannelMatrix) -> DyadicMatrix:
     """Exact inverse of a channel matrix; satisfies P @ inverse == I entrywise.
 

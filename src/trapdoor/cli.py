@@ -153,10 +153,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         return 0
     lines = [f"S = {result.S}, C_up = {result.c_up:.6f} b/u"]
     neg = result.negative_d_indices()
-    if result.d is None:
-        lines.append(f"d not computed (automatic for n <= {bounds.D_AUTO_LIMIT} within the matrix cap)")
-    elif neg:
-        lines.append(f"relaxed optimum leaves the simplex: d < 0 at 1-based indices {neg}")
+    if neg:
+        lines.append(f"relaxed optimum leaves the simplex: d < 0 at {len(neg)} of {len(result.d)} "
+                     f"indices, the first at 1-based index {neg[0]}")
     else:
         lines.append("relaxed optimum lies on the simplex (all d >= 0)")
     lines.append(f"zero-error rate reference: {bounds.ZERO_ERROR_RATE:.6f} b/u")

@@ -65,9 +65,6 @@ class OutputDistribution:
         """Feasible outputs in lexicographic order."""
         return sorted(self.outputs)
 
-    def probability(self, output: str) -> Dyadic:
-        return self.outputs.get(output, Dyadic(0))
-
     def to_json_dict(self) -> dict:
         from .serialization import format_dyadic
 

@@ -223,10 +223,6 @@ class DyadicMatrix:
 
     # -- element access ------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> Dyadic:
-        """Entry at 0-based position (i, j)."""
-        return Dyadic(int(self.array[i, j]), self.exp)
-
     def row_dyadics(self, i: int) -> list[Dyadic]:
         e = self.exp
         return [Dyadic(v, e) for v in self.array[i].tolist()]

@@ -160,14 +160,6 @@ def dumps_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=False, default=json_default) + "\n"
 
 
-def write_json(obj: Any, path: Union[str, Path]) -> None:
-    """Write a JSON report with stable keys and exact dyadic strings."""
-    try:
-        Path(path).write_text(dumps_json(obj), encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write JSON to {path}: {exc}") from exc
-
-
 def write_pgm(data: bytes, path: Union[str, Path]) -> None:
     """Persist rendered PGM bytes exactly."""
     try:
@@ -241,7 +233,7 @@ def write_png(pgm: bytes, path: Union[str, Path]) -> None:
 
 def bound_report(result) -> dict:
     """JSON-ready dict for a BoundResult (exact S string, 1-based negative
-    indices of d, or None when d was not computed)."""
+    indices of d, or None for a result made with include_d=False)."""
     return {
         "n": result.n,
         "s0": result.s0,

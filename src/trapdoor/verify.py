@@ -190,6 +190,7 @@ def _check_bound_identities(ctx: _Context) -> str:
 
 def _check_d_vector(ctx: _Context) -> str:
     d1 = bounds.d_vector(1, 0, inverse=ctx.inverse(1, 0))
+    assert d1 == bounds.d_vector(1, 0), "matrix-free d differs from the dense product at n=1"
     assert d1 == [Dyadic(3, 2), Dyadic(1, 1)], "n=1 optimizer should be [3/4, 1/2]"
     S1 = bounds.closed_form_S(1).as_fraction()
     assert [v.as_fraction() / S1 for v in d1] == [
@@ -198,6 +199,7 @@ def _check_d_vector(ctx: _Context) -> str:
     ], "n=1 relaxed optimum should be [3/5, 2/5]"
     for n in range(2, ctx.max_n + 1):
         d = bounds.d_vector(n, 0, inverse=ctx.inverse(n, 0))
+        assert d == bounds.d_vector(n, 0), f"matrix-free d differs from the dense product at n={n}"
         S = bounds.closed_form_S(n)
         assert sum(d, Dyadic(0)) == S, f"sum of d differs from S at n={n}"
         second_last = d[-2]

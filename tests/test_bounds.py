@@ -14,6 +14,7 @@ from oracles import (
     omega_lists,
     output_masses_nonnegative,
 )
+from trapdoor import bounds, channel
 from trapdoor.bounds import (
     EntropyVector,
     OmegaVector,
@@ -286,9 +287,23 @@ def test_odd_bounds_increase_to_even_value():
         prev = c
 
 
-def test_upper_bound_beyond_matrix_cap_has_no_d(monkeypatch):
-    monkeypatch.setenv("TRAPDOOR_MATRIX_CAP", "3")
-    b = upper_bound(4)
+def test_upper_bound_attaches_d_without_building_a_matrix(monkeypatch):
+    monkeypatch.setenv("TRAPDOOR_MATRIX_CAP", "0")
+
+    def refuse(*args):
+        raise AssertionError("a dense matrix was built")
+
+    for module in (bounds, channel):
+        for name in ("build_channel_matrix", "invert_channel_matrix"):
+            monkeypatch.setattr(module, name, refuse)
+    for name in ("_ladder", "_inverse_ladder"):
+        monkeypatch.setattr(channel, name, refuse)
+    for n in range(1, 13):
+        b = upper_bound(n)
+        assert sum(b.d, Z) == b.S == closed_form_S(n)
+        assert len(b.negative_d_indices()) == (1 << (n - 1) if n >= 2 else 0)
+        assert b.has_negative_d is (n >= 2)
+    b = upper_bound(4, include_d=False)
     assert b.d is None and b.has_negative_d is None
     assert b.negative_d_indices() == []
 
@@ -326,6 +341,20 @@ def test_d_vector_second_last_closed_forms(inverses):
         expected = Dyadic(-3, 0).shift(n - 3 if n % 2 == 0 else n - 5)
         assert d[-2] == expected
         assert d[-2] < 0
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+@pytest.mark.parametrize("s0", (0, 1))
+def test_matrix_free_d_equals_dense(n, s0, inverses):
+    assert d_vector(n, s0) == d_vector(n, s0, inverse=inverses(n, s0))
+
+
+def test_d_at_n16_sums_to_S_and_is_half_negative():
+    # past the dense reach: int64 gives way to Python ints at the last levels
+    d = d_vector(16, 0)
+    assert sum(d, Z) == closed_form_S(16)
+    assert sum(v < 0 for v in d) == 1 << 15
+    assert d[-2] == Dyadic(-3 << 13)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -20,6 +20,7 @@ from trapdoor.channel import (
     exchange_conjugate,
     invert_channel_matrix,
     invert_two_step,
+    times_inverse,
 )
 from trapdoor.dyadic import Dyadic
 from trapdoor.matrices import DyadicMatrix
@@ -142,6 +143,22 @@ def test_level_widens_instead_of_wrapping():
     out = _level(big, 1)  # j = 1 scales X(0) by 1, X(1) by 3 and X(2) by -2
     assert [blk.dtype for blk in out] == [object, object]
     assert [blk.tolist() for blk in out] == [[[1 << 62, 0], [-1 << 62, 1 << 63]], [[0, 1 << 62], [-1 << 63, 3 << 62]]]
+
+
+def test_times_inverse_widens_instead_of_wrapping():
+    # x X_1(0) = [x_a - x_b, 2 x_b]: 2 x_b leaves int64 exactly when x_b reaches 2**62
+    for t, dtype in (((1 << 62) - 1, np.int64), (1 << 62, object)):
+        x = np.array([t, t], dtype=np.int64)
+        d = times_inverse(x, 0)
+        assert d.dtype == dtype and d.tolist() == [0, 2 * t]
+        assert times_inverse(x, 1).tolist() == [2 * t, 0]
+    # three levels on entries near the int64 limit, against the inverse in Python ints
+    rng = np.random.default_rng(7)
+    for s0 in (0, 1):
+        inv = invert_ladder_lists(3, s0)
+        x = rng.integers(-(1 << 62), 1 << 62, 8)
+        want = [sum(int(x[i]) * inv[i][j] for i in range(8)) for j in range(8)]
+        assert times_inverse(x, s0).tolist() == want
 
 
 @pytest.mark.parametrize("k", range(0, 7))

@@ -34,14 +34,18 @@ def test_bound_json(capsys):
     assert round(data["c_upper_bits_per_use"], 6) == 0.660964
 
 
-def test_bound_without_d(capsys):
+def test_bound_reports_d_past_the_dense_reach(capsys, monkeypatch):
+    monkeypatch.setenv("TRAPDOOR_MATRIX_CAP", "0")  # d needs no matrix
     code, out, _ = run(capsys, "bound", "-n", "12", "--format", "json")
     assert code == 0
-    assert json.loads(out)["d_negative_indices"] is None
+    neg = json.loads(out)["d_negative_indices"]
+    assert len(neg) == 1 << 11 and neg[:3] == [2, 3, 5] and neg[-1] == (1 << 12) - 1
     code, out, _ = run(capsys, "bound", "-n", "12")
     assert code == 0
-    assert "d not computed (automatic for n <= 10" in out
-    assert "simplex" not in out
+    assert out.splitlines()[1] == (
+        "relaxed optimum leaves the simplex: d < 0 at 2048 of 4096 indices, "
+        "the first at 1-based index 2"
+    )
 
 
 def test_bound_n1_on_simplex(capsys):

@@ -64,8 +64,8 @@ def test_matmul_scales_exponents():
     a = DyadicMatrix([[1, 0], [1, 1]], 1)  # [[1/2, 0], [1/2, 1/2]]
     b = DyadicMatrix([[2, 0], [0, 2]], 0)
     prod = a.matmul(b)
-    assert prod.entry(0, 0) == 1
-    assert prod.entry(1, 1) == 1
+    assert Dyadic(int(prod.array[0, 0]), prod.exp) == 1
+    assert Dyadic(int(prod.array[1, 1]), prod.exp) == 1
     assert prod == DyadicMatrix([[1, 0], [1, 1]], 0)
 
 
@@ -78,7 +78,7 @@ def test_with_exp_checks_divisibility():
 
 def test_entry_and_rows():
     m = DyadicMatrix([[1, 0], [1, 2]], 1)
-    assert m.entry(1, 0) == Dyadic(1, 1)
+    assert Dyadic(int(m.array[1, 0]), m.exp) == Dyadic(1, 1)
     assert m.row_dyadics(1) == [Dyadic(1, 1), Dyadic(1, 0)]
     assert m.row_sums() == [Dyadic(1, 1), Dyadic(3, 1)]
 
@@ -193,7 +193,7 @@ def test_object_dtype_beyond_int64(edge):
     assert m != DyadicMatrix([[edge + 1, 1], [0, 1]], 0)
     square = m.matmul(m)
     assert square.int_rows == [[edge * edge, edge + 1], [0, 1]]
-    assert m.entry(0, 0) == Dyadic(edge) and type(m.entry(0, 0).num) is int
+    assert m.array[0, 0] == edge and type(m.array[0, 0]) is int
 
 
 def test_with_exp_widens_near_the_dtype_limit():
