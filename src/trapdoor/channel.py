@@ -33,7 +33,7 @@ from .dyadic import Dyadic
 from .matrices import DyadicMatrix, dtype_for, max_abs
 
 
-_BLOCK_CELLS = 1 << 16  # entries per block of rows in ChannelMatrix.halvings
+_BLOCK_CELLS = 1 << 16  # entries per row block in ChannelMatrix.halvings and fractal.render_pgm
 
 
 class ChannelMatrix:
@@ -154,18 +154,19 @@ def _level(x: list[np.ndarray], m: int) -> list[np.ndarray]:
     return out
 
 
-def _inverse_ladder(n: int) -> DyadicMatrix:
-    """P(n, 0)^-1 by an integer recursion that needs no matrix product.
+def _inverse_ladder(n: int, s0: int) -> DyadicMatrix:
+    """P(n, s0)^-1 by an integer recursion that needs no matrix product.
 
     With A_k = P(k, 0)^-1 and U_k = P(k, 1) A_k, the one-step formula gives
     U_k = [[0, I], [-U_{k-1}^2, 2 U_{k-1}]], so X_k(j) = A_k U_k^j follows
     from the level below by _level, starting from X_0(j) = [1].  Level k
-    needs j <= n - k, and P(n, 0)^-1 = X_n(0).
+    needs j <= n - k, and P(n, 0)^-1 = X_n(0); P(n, 1)^-1 is its exchange view.
     """
     x = [np.ones((1, 1), dtype=np.int16)] * (n + 1)
     for k in range(1, n + 1):
         x = _level(x, n - k)
-    return DyadicMatrix(x[0], 0)
+    inv = DyadicMatrix(x[0], 0)
+    return exchange_conjugate(inv) if s0 else inv
 
 
 def times_inverse(x: np.ndarray, s0: int) -> np.ndarray:
@@ -194,12 +195,8 @@ def times_inverse(x: np.ndarray, s0: int) -> np.ndarray:
 
 
 def invert_channel_matrix(P: ChannelMatrix) -> DyadicMatrix:
-    """Exact inverse of a channel matrix; satisfies P @ inverse == I entrywise.
-
-    P(n, 1)^-1 is the exchange view of P(n, 0)^-1.
-    """
-    inv = _inverse_ladder(P.n)
-    return exchange_conjugate(inv) if P.s0 else inv
+    """Exact inverse of a channel matrix; satisfies P @ inverse == I entrywise."""
+    return _inverse_ladder(P.n, P.s0)
 
 
 def invert_two_step(n: int, s0: int) -> DyadicMatrix:
@@ -211,21 +208,19 @@ def invert_two_step(n: int, s0: int) -> DyadicMatrix:
     config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
     if n % 2:
         raise ValueError("two-step inversion needs an even block length")
-    inv = _inverse_ladder(n)
-    return exchange_conjugate(inv) if s0 else inv
+    return _inverse_ladder(n, s0)
 
 
-def exchange_conjugate(
-    M: Union[ChannelMatrix, DyadicMatrix]
-) -> Union[ChannelMatrix, DyadicMatrix]:
+def exchange_conjugate(M: Union[ChannelMatrix, DyadicMatrix]) -> Union[ChannelMatrix, DyadicMatrix]:
     """Conjugate by the exchange (anti-diagonal) matrix: entry (i, j) -> (dim-1-i, dim-1-j).
 
-    Involutive.  Applied to a channel matrix it yields the matrix for the
-    opposite initial state, so the result keeps channel metadata.
+    Involutive, and a reversed view that shares M's memory.  Applied to a
+    channel matrix it yields the matrix for the opposite initial state, so
+    the result keeps channel metadata.
     """
     if isinstance(M, ChannelMatrix):
-        return ChannelMatrix(M.n, 1 - M.s0, M.data.reversed_conjugate())
-    return M.reversed_conjugate()
+        return ChannelMatrix(M.n, 1 - M.s0, exchange_conjugate(M.data))
+    return DyadicMatrix(M.array[::-1, ::-1], M.exp)
 
 
 def disjoint_support_check(

@@ -5,15 +5,20 @@ this package has the form a / 2**e, so a dedicated scalar type keeps the core
 computations completely free of rounding.  Values are normalized: the
 numerator is odd whenever the exponent is positive, and zero is stored as
 0 / 2**0.  Dyadics are closed under +, -, * and under division by (signed)
-powers of two; any other division raises.
+powers of two; any other division raises.  Sums, differences and the
+order bring both operands to the larger exponent in one place, ``_align``.
+The order is defined against Dyadics and integers only (a Fraction or a
+float raises TypeError); equality also accepts Fractions and floats.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from fractions import Fraction
 
 
+@functools.total_ordering
 class Dyadic:
     """Immutable exact rational ``num / 2**exp`` with ``exp >= 0``."""
 
@@ -68,27 +73,27 @@ class Dyadic:
             return Dyadic(int(other), 0)
         return None
 
-    def __add__(self, other: object) -> "Dyadic":
+    def _align(self, other: object) -> "tuple[int, int, int] | None":
+        """(a, b, e) with self == a / 2**e and other == b / 2**e; None unless other is dyadic."""
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return None
         e = max(self.exp, o.exp)
-        return Dyadic((self.num << (e - self.exp)) + (o.num << (e - o.exp)), e)
+        return self.num << (e - self.exp), o.num << (e - o.exp), e
+
+    def __add__(self, other: object) -> "Dyadic":
+        t = self._align(other)
+        return NotImplemented if t is None else Dyadic(t[0] + t[1], t[2])
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "Dyadic":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        e = max(self.exp, o.exp)
-        return Dyadic((self.num << (e - self.exp)) - (o.num << (e - o.exp)), e)
+        t = self._align(other)
+        return NotImplemented if t is None else Dyadic(t[0] - t[1], t[2])
 
     def __rsub__(self, other: object) -> "Dyadic":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        t = self._align(other)
+        return NotImplemented if t is None else Dyadic(t[1] - t[0], t[2])
 
     def __mul__(self, other: object) -> "Dyadic":
         o = self._coerce(other)
@@ -126,10 +131,6 @@ class Dyadic:
 
     # -- comparisons --------------------------------------------------------
 
-    def _cmp_nums(self, o: "Dyadic") -> tuple[int, int]:
-        e = max(self.exp, o.exp)
-        return self.num << (e - self.exp), o.num << (e - o.exp)
-
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
@@ -139,32 +140,9 @@ class Dyadic:
         return self.num == o.num and self.exp == o.exp
 
     def __lt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._cmp_nums(o)
-        return a < b
-
-    def __le__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._cmp_nums(o)
-        return a <= b
-
-    def __gt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._cmp_nums(o)
-        return a > b
-
-    def __ge__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._cmp_nums(o)
-        return a >= b
+        # <=, > and >= come from functools.total_ordering
+        t = self._align(other)
+        return NotImplemented if t is None else t[0] < t[1]
 
     def __hash__(self) -> int:
         # matches the numeric hash of equal ints / Fractions

@@ -27,16 +27,13 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import config
-from .channel import ChannelMatrix
+from .channel import _BLOCK_CELLS, ChannelMatrix
 from .dyadic import Dyadic
 
 Frac3 = tuple[Fraction, Fraction, Fraction]
 
 EMPTY = -1  # z-code for an empty cell; code m >= 0 means z = 2**-m
 _UNWRITTEN = -2  # ifs_iterate's mark for output cells no map has written yet
-# render_pgm and rho_representation work in row blocks of at most this many
-# cells: their temporaries take 8 bytes or more per cell, the grid one
-_BLOCK_CELLS = 1 << 16
 
 
 class GridSemanticsError(ValueError):
@@ -254,8 +251,7 @@ def _cell_transform(m: AffineMap3, res: int) -> tuple[int, int, int, int, int, i
     def target(r: int, c: int) -> tuple[Fraction, Fraction]:
         x = Fraction(2 * c + 1, 1 << (res + 1))
         y = 1 - Fraction(2 * r + 1, 1 << (res + 1))
-        xp = lin[0][0] * x + lin[0][1] * y + tr[0]
-        yp = lin[1][0] * x + lin[1][1] * y + tr[1]
+        xp, yp, _ = m.apply(x, y, 0)
         cp = (xp * (1 << (res + 2)) - 1) / 2
         rp = ((1 - yp) * (1 << (res + 2)) - 1) / 2
         return rp, cp

@@ -242,10 +242,6 @@ class DyadicMatrix:
 
     # -- structure ops -------------------------------------------------------
 
-    def reversed_conjugate(self) -> "DyadicMatrix":
-        """Entry (i, j) moved to (dim-1-i, dim-1-j): conjugation by the exchange matrix."""
-        return DyadicMatrix(self.array[::-1, ::-1], self.exp)
-
     def row_sums(self) -> list[Dyadic]:
         a = self.array
         sums = _working(a, max_abs(a) * self.dim).sum(axis=1)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import config
-from .bounds import _exact_distribution, closed_form
+from .bounds import _exact_distribution, closed_form, entropy_vector_direct
 from .channel import ChannelMatrix, build_channel_matrix
 from .matrices import exact_product
 
@@ -70,12 +70,12 @@ def _as_prob_vector(p: Sequence[float], dim: int) -> np.ndarray:
 def _float_matrix(P: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(W, wlogw): the channel as floats and its row sums of W_ij log2 W_ij.
 
-    Both are exact: every entry is 0 or a power of two, so the scaling, the
-    logarithms and the products are exact in double precision.
+    wlogw is -h from entropy_vector_direct (a matrix it rejects raises
+    ValueError).  Both are exact in double precision: entries are 0 or powers
+    of two, and each h * 2**n is a small integer.  ``0.0 -`` keeps +0.0 for the all-s0 row.
     """
-    W = P.data.array * 2.0**-P.data.exp
-    wlogw = (W * np.log2(np.where(W > 0.0, W, 1.0))).sum(axis=1)
-    return W, wlogw
+    wlogw = 0.0 - entropy_vector_direct(P).array * 2.0**-P.n
+    return P.data.array * 2.0**-P.data.exp, wlogw
 
 
 def _divergences(W: np.ndarray, wlogw: np.ndarray, logq: np.ndarray, out: np.ndarray) -> np.ndarray:

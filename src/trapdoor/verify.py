@@ -222,11 +222,14 @@ def _check_enumeration(ctx: _Context) -> str:
     top = min(ctx.max_n, 8)
     for n in range(1, top + 1):
         for s0 in (0, 1):
-            P = ctx.matrix(n, s0)
-            for i in range(1 << n):
+            P = ctx.matrix(n, s0).data
+            for i, want in enumerate(P.array.tolist()):
                 bits = format(i, f"0{n}b")
-                row = enumeration.channel_row_from_enumeration(n, s0, bits)
-                assert row == P.row_dyadics(i), f"row mismatch at n={n}, s0={s0}, x={bits}"
+                # likelihoods as integers at P's scale; None: finer than it, equal to no entry
+                row = [0] * len(want)
+                for y, p in enumeration.generate_outputs(bits, s0).outputs.items():
+                    row[int(y, 2)] = p.num << (P.exp - p.exp) if p.exp <= P.exp else None
+                assert row == want, f"row mismatch at n={n}, s0={s0}, x={bits}"
     dist = enumeration.generate_outputs("101", 0)
     assert "110" not in dist.outputs, "output 110 must be infeasible for input 101"
     assert enumeration.feasibility("101", "110", 0) == 0

@@ -112,7 +112,7 @@ def test_criterion_3_recursion_vs_definition_oracles():
                 if P.s0 == 0:
                     inv1 = invert_channel_matrix(P1)
                     assert exchange_conjugate(P0) == P1
-                    assert inv.reversed_conjugate() == inv1
+                    assert exchange_conjugate(inv) == inv1
                     h1 = entropy_vector_direct(P1)
                     assert h1.entries == h_direct.entries[::-1]
                     assert omega_state1(n).entries == list(reversed(w_rec))

@@ -199,7 +199,7 @@ def test_exchange_swaps_states(n, pairs, inverses):
     assert exchange_conjugate(P0) == P1
     assert exchange_conjugate(P1) == P0
     assert exchange_conjugate(exchange_conjugate(P0)) == P0
-    assert inverses(n, 0).reversed_conjugate() == inverses(n, 1)
+    assert exchange_conjugate(inverses(n, 0)) == inverses(n, 1)
 
 
 def test_exchange_on_identity():

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from trapdoor import bounds, enumeration, fractal, optimize, verify
 from trapdoor.channel import ChannelMatrix
 from trapdoor.cli import main
+from trapdoor.dyadic import Dyadic
 from trapdoor.matrices import DyadicMatrix
 from trapdoor.serialization import read_matrix_csv
 
@@ -168,6 +170,25 @@ def test_exchange_symmetry_catches_a_transposed_state_one(monkeypatch, bad):
     [result] = verify.run_checks(5, ["exchange symmetry"])
     assert not result.ok
     assert result.detail.endswith(f"differs from the state-1 recursion at n={bad}")
+
+
+@pytest.mark.parametrize("factor", (Dyadic(1, 1), 2), ids=("finer", "coarser"))
+def test_enumeration_check_names_a_changed_likelihood(monkeypatch, factor):
+    real = enumeration.generate_outputs
+
+    def changed(bits, s0):
+        dist = real(bits, s0)
+        if (bits, s0) != ("010", 1):
+            return dist
+        outputs = dict(dist.outputs)
+        y = min(outputs, key=lambda y: outputs[y])  # a likelihood of 2**-3, the matrix's scale
+        outputs[y] = outputs[y] * factor
+        return SimpleNamespace(outputs=outputs)
+
+    monkeypatch.setattr(enumeration, "generate_outputs", changed)
+    [result] = verify.run_checks(5, ["enumeration vs matrices"])
+    assert not result.ok
+    assert result.detail.endswith("row mismatch at n=3, s0=1, x=010")
 
 
 def test_inverse_blocks_check_the_one_step_formula():

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -92,3 +93,20 @@ def test_round_trip_fraction(d):
     f = d.as_fraction()
     assert f == Fraction(d.num, 1 << d.exp) and f.denominator == 1 << d.exp
     assert Dyadic(f.numerator, f.denominator.bit_length() - 1) == d
+
+
+@given(dyadics, st.one_of(dyadics, st.integers(min_value=-(10**15), max_value=10**15)))
+def test_order_matches_fractions(a, b):
+    fa, fb = a.as_fraction(), b.as_fraction() if isinstance(b, Dyadic) else Fraction(b)
+    assert (a < b, a <= b, a > b, a >= b) == (fa < fb, fa <= fb, fa > fb, fa >= fb)
+    assert (b < a, b <= a, b > a, b >= a) == (fb < fa, fb <= fa, fb > fa, fb >= fa)
+
+
+@pytest.mark.parametrize("other", (0.5, Fraction(1, 2)))
+def test_order_against_floats_and_fractions_raises(other):
+    half = Dyadic(1, 1)
+    assert half == other
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        for a, b in ((half, other), (other, half)):
+            with pytest.raises(TypeError):
+                op(a, b)

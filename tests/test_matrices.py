@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import _pack_rows, _unpack_row
+from trapdoor.channel import exchange_conjugate
 from trapdoor.dyadic import Dyadic
 from trapdoor import matrices
 from trapdoor.matrices import DyadicMatrix, exact_product
@@ -83,11 +84,11 @@ def test_entry_and_rows():
     assert m.row_sums() == [Dyadic(1, 1), Dyadic(3, 1)]
 
 
-def test_reversed_conjugate_involutive():
+def test_exchange_conjugate_involutive():
     m = DyadicMatrix([[1, 2], [3, 4]], 0)
-    r = m.reversed_conjugate()
+    r = exchange_conjugate(m)
     assert r.int_rows == [[4, 3], [2, 1]]
-    assert r.reversed_conjugate() == m
+    assert exchange_conjugate(r) == m
 
 
 def test_matvec_exact():

@@ -6,9 +6,12 @@ import pytest
 
 from oracles import blahut_arimoto_reference, mutual_information_reference
 from trapdoor.bounds import closed_form, constraint_check
+from trapdoor.channel import ChannelMatrix
 from trapdoor.dyadic import Dyadic
+from trapdoor.matrices import DyadicMatrix
 from trapdoor.optimize import (
     ConvergenceError,
+    _float_matrix,
     blahut_arimoto,
     mutual_information,
     mutual_information_exact,
@@ -50,6 +53,32 @@ def test_mi_matches_reference(pairs):
                 p = rng.dirichlet(np.ones(P.dim))
                 ref = mutual_information_reference((P.data.array * 2.0**-P.data.exp).tolist(), list(p), n)
                 assert abs(mutual_information(P, p) - ref) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_wlogw_is_minus_h_bitwise(n, pairs):
+    # the reference: float row sums of W log2 W, 256 rows at a time to keep n = 12 small
+    for P in pairs(n):
+        W, wlogw = _float_matrix(P)
+        ref = np.concatenate([
+            (w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=1) for w in np.split(W, range(256, P.dim, 256))
+        ])
+        assert wlogw.dtype == np.float64 and wlogw.tobytes() == ref.tobytes()  # sign of zero included
+        assert not np.signbit(wlogw[-P.s0])  # +0.0 for the all-s0 input
+
+
+@pytest.mark.parametrize("rows, exp, message", [
+    # P(2, 0) with row 01 changed to [3/8, 1/8, 1/4, 1/4]: still stochastic
+    ([[8, 0, 0, 0], [3, 1, 2, 2], [2, 2, 4, 0], [0, 4, 2, 2]], 3, "not a power of two"),
+    # P(2, 0) transposed: powers of two, but the all-0 row [1, 1/2, 1/4, 0] has entropy 1
+    ([[4, 2, 1, 0], [0, 2, 1, 2], [0, 0, 2, 1], [0, 0, 0, 1]], 2, "all-s0 input"),
+], ids=("3/8 entry", "transposed"))
+def test_ba_and_mi_reject_what_entropy_vector_direct_rejects(rows, exp, message):
+    P = ChannelMatrix(2, 0, DyadicMatrix(rows, exp))
+    with pytest.raises(ValueError, match=message):
+        blahut_arimoto(P, tol=1e-6)
+    with pytest.raises(ValueError, match=message):
+        mutual_information(P, [0.25] * 4)
 
 
 def test_mi_validates_distribution(pairs):
