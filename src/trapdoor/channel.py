@@ -29,7 +29,6 @@ from typing import Iterator, Union
 import numpy as np
 
 from . import config
-from .dyadic import Dyadic
 from .matrices import DyadicMatrix, dtype_for, max_abs
 
 
@@ -51,9 +50,6 @@ class ChannelMatrix:
     @property
     def dim(self) -> int:
         return self.data.dim
-
-    def row_dyadics(self, i: int) -> list[Dyadic]:
-        return self.data.row_dyadics(i)
 
     def row_index(self, bits: str) -> int:
         """0-based row index of an input bit string."""

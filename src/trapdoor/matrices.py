@@ -20,7 +20,11 @@ operands are cut into limbs (signed digits in base 2**L) chosen so that each
 pair of limbs meets it, and the shifted limb products are summed in int64, or
 in Python ints once the bound on the result leaves int64.  The left factor
 is converted one block of rows at a time, so no float copy of it is ever
-whole; the right factor is cut once, for the largest row sum of them all.  A matrix-vector product is the same product with one column.
+whole; the right factor is cut once, for the largest row sum of them all.
+Each block of rows is multiplied only over the span of columns that holds its
+non-zero entries, against the same rows of the right factor: the entries left
+out are zero, so block triangular factors skip their zero blocks.  A
+matrix-vector product is the same product with one column.
 """
 
 from __future__ import annotations
@@ -74,13 +78,6 @@ def max_abs(x: np.ndarray) -> int:
     return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
-def _max_row_sum(x: np.ndarray) -> int:
-    """max_i sum_k |x_ik| as a Python int, summed in Python ints where int64 could overflow."""
-    if not x.size:
-        return 0
-    return int(np.abs(_working(x, max_abs(x) * x.shape[1])).sum(axis=1).max())
-
-
 def _limbs(x: np.ndarray, width: int) -> list[np.ndarray]:
     """Signed limbs of x in base 2**width: x == sum_t limbs[t] << (t * width), |limbs[t]| < 2**width."""
     top = max_abs(x)
@@ -116,52 +113,114 @@ class _RightFactor:
         return self._limbs
 
 
-def _block_product(a: np.ndarray, ra: int, right: _RightFactor) -> np.ndarray:
-    """a @ b exactly, as int64, or as an object array of Python ints past int64.
+def _abs_sums(x: np.ndarray, axis: int, wide: bool) -> np.ndarray:
+    """Sums of |x| along an axis, in int64, or in Python ints when wide."""
+    return np.abs(x.astype(object)).sum(axis=axis) if wide else np.abs(x, dtype=np.int64).sum(axis=axis)
+
+
+def _block_stats(a: np.ndarray) -> list[tuple[int, int, int]]:
+    """(ra, lo, hi) for each block of _BLOCK_ROWS rows of a: ra is the block's
+    largest row sum of |a| as a Python int, and every non-zero entry of the
+    block lies in columns [lo, hi).
+
+    Both reductions run over a's forward-strided view; a column-major view (a
+    transposed array) is reduced as its row-major base, a block of base rows at
+    a time, where a's row sums are column sums.
+    """
+    rows, cols = a.shape
+    blocks = [(start, min(start + _BLOCK_ROWS, rows)) for start in range(0, rows, _BLOCK_ROWS)]
+    if not a.size:
+        return [(0, 0, 0)] * len(blocks)
+    # row sums in int64 unless a bound on them leaves it; int16 and int32 need no scan
+    wide = a.dtype == object or (
+        (np.iinfo(a.dtype).max + 1) * cols >= _INT64_LIMIT and max_abs(a) * cols >= _INT64_LIMIT
+    )
+    flip_rows, flip_cols = a.strides[0] < 0, a.strides[1] < 0
+    f = a[:: -1 if flip_rows else 1, :: -1 if flip_cols else 1]
+    if flip_rows:  # the same blocks as rows of f, in f's order
+        blocks = [(rows - hi, rows - lo) for lo, hi in reversed(blocks)]
+    if rows == 1 or f.strides[0] >= f.strides[1]:  # a row vector's view may step 0 bytes per row
+        stats = [(_abs_sums(f[lo:hi], 1, wide), f[lo:hi].any(axis=0)) for lo, hi in blocks]
+    else:
+        base = f.T
+        sums = np.zeros(rows, dtype=object if wide else np.int64)
+        used = np.empty((len(blocks), cols), dtype=bool)
+        firsts = [lo for lo, _ in blocks]
+        for k in range(0, cols, _BLOCK_ROWS):
+            chunk = base[k : k + _BLOCK_ROWS]
+            sums += _abs_sums(chunk, 0, wide)
+            used[:, k : k + _BLOCK_ROWS] = np.logical_or.reduceat(chunk != 0, firsts, axis=1).T
+        stats = [(sums[lo:hi], block_used) for (lo, hi), block_used in zip(blocks, used)]
+    out = []
+    for block_sums, block_used in stats[::-1] if flip_rows else stats:
+        idx = np.flatnonzero(block_used)
+        lo, hi = (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
+        if flip_cols:
+            lo, hi = cols - hi, cols - lo
+        out.append((int(block_sums.max()) if hi > lo else 0, lo, hi))
+    return out
+
+
+def _block_product(a: np.ndarray, ra: int, right: _RightFactor, lo: int) -> np.ndarray:
+    """a @ b[lo : lo + a.shape[1]] exactly, as int64, or as an object array of
+    Python ints past int64.
 
     ra is the max row sum of |a|.  Every float64 product runs only after its
     bound check: max row sum of |a limb| times max |b limb| must stay below 2**53.
     """
-    shape = (a.shape[0], right.b.shape[1])
     mb = right.max_abs
     if ra == 0 or mb == 0:
-        return np.zeros(shape, dtype=np.int64)
+        return np.zeros((a.shape[0], right.b.shape[1]), dtype=np.int64)
+    hi = lo + a.shape[1]
     if ra.bit_length() <= _ROW_SUM_BITS:
         a_width, a_limbs = 0, [(a.astype(np.float64), ra)]
     else:
         # limb row sums stay below inner * 2**a_width <= 2**_ROW_SUM_BITS
         a_width = max(1, _ROW_SUM_BITS - a.shape[1].bit_length())
-        a_limbs = [(v.astype(np.float64), _max_row_sum(v)) for v in _limbs(a, a_width)]
+        a_limbs = [(v.astype(np.float64), int(_abs_sums(v, 1, False).max())) for v in _limbs(a, a_width)]
     wide = ra * mb >= _INT64_LIMIT  # |any partial sum of shifted limb products| <= ra * mb
-    acc = np.zeros(shape, dtype=object if wide else np.int64)
+    acc = None
     for s, (a_f, a_sum) in enumerate(a_limbs):
         for t, (b_f, b_max) in enumerate(right.limbs()):
             if a_sum * b_max >= _FLOAT_EXACT:
                 raise ArithmeticError("a float64 limb product could round")
-            part = (a_f @ b_f).astype(np.int64)
+            part = (a_f @ b_f[lo:hi]).astype(np.int64)
             if wide:
                 part = part.astype(object)
-            acc += part << (s * a_width + t * right.width)
+            shift = s * a_width + t * right.width
+            if shift:
+                part <<= shift
+            if acc is None:
+                acc = part
+            else:
+                acc += part
     return acc
 
 
 def _row_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Exact products with b of a's rows, _BLOCK_ROWS at a time, each with its first row index.
 
-    Every block's limbs have row sums below 2**_ROW_SUM_BITS, and below the
-    largest row sum of |a|, so limbs of b cut for that bound serve all blocks.
+    Each block is multiplied only over the column span that holds its non-zero
+    entries, with the same rows of b; the entries left out are zero.  Every
+    block's limbs have row sums below 2**_ROW_SUM_BITS, and below the largest
+    row sum of |a|, so limbs of b cut once for that bound serve all blocks.
     """
-    starts = range(0, len(a), _BLOCK_ROWS)
-    sums = [_max_row_sum(a[start : start + _BLOCK_ROWS]) for start in starts]
-    bits = min(max(sums, default=0).bit_length(), _ROW_SUM_BITS)
+    stats = _block_stats(a)
+    bits = min(max((ra for ra, _, _ in stats), default=0).bit_length(), _ROW_SUM_BITS)
     right = _RightFactor(b, 53 - bits)
-    for start, ra in zip(starts, sums):
-        yield start, _block_product(a[start : start + _BLOCK_ROWS], ra, right)
+    for start, (ra, lo, hi) in zip(range(0, len(a), _BLOCK_ROWS), stats):
+        yield start, _block_product(a[start : start + _BLOCK_ROWS, lo:hi], ra, right, lo)
 
 
 def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b exactly for integer arrays: int64, or an object array of Python ints past int64."""
     return np.concatenate([block for _, block in _row_blocks(a, b)])
+
+
+def _identity_rows(x: np.ndarray, start: int, exp: int) -> bool:
+    """Whether x is the rows from start on of 2**exp times the identity: one
+    non-zero entry per row, 2**exp on the diagonal."""
+    return np.count_nonzero(x) == len(x) and bool((np.diagonal(x, start) == 1 << exp).all())
 
 
 def shift_down(x: np.ndarray, k: int) -> np.ndarray | None:
@@ -221,12 +280,6 @@ class DyadicMatrix:
     def identity(cls, dim: int) -> "DyadicMatrix":
         return cls(np.eye(dim, dtype=np.int16), 0)
 
-    # -- element access ------------------------------------------------------
-
-    def row_dyadics(self, i: int) -> list[Dyadic]:
-        e = self.exp
-        return [Dyadic(v, e) for v in self.array[i].tolist()]
-
     # -- scale handling ------------------------------------------------------
 
     def with_exp(self, exp: int) -> "DyadicMatrix":
@@ -262,8 +315,7 @@ class DyadicMatrix:
     __hash__ = None  # type: ignore[assignment]
 
     def is_identity(self) -> bool:
-        a = self.array
-        return bool((np.diagonal(a) == 1 << self.exp).all()) and np.count_nonzero(a) == self.dim
+        return _identity_rows(self.array, 0, self.exp)
 
     # -- products ------------------------------------------------------------
 
@@ -279,7 +331,7 @@ class DyadicMatrix:
     def product_equals(self, other: "DyadicMatrix", expected: "DyadicMatrix | None") -> bool:
         """Check self @ other == expected (the identity when None) without
         materializing the product: each block of product rows is compared
-        with the same rows of expected, or with a slice of the identity."""
+        with the same rows of expected, or with the rows of the identity."""
         dim = self.dim
         if other.dim != dim or (expected is not None and expected.dim != dim):
             return False
@@ -293,13 +345,12 @@ class DyadicMatrix:
                 return False
             shift = 0
         for start, block in _row_blocks(self.array, other.array):
-            rows = len(block)
-            block = shift_down(block, shift)
             if expected is None:
-                want = np.eye(rows, dim, start, dtype=np.int8)
+                same = _identity_rows(block, start, shift)
             else:
-                want = expected.array[start : start + rows]
-            if block is None or not np.array_equal(block, want):
+                block = shift_down(block, shift)
+                same = block is not None and np.array_equal(block, expected.array[start : start + len(block)])
+            if not same:
                 return False
         return True
 

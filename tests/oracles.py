@@ -4,7 +4,7 @@ Everything here is deliberately naive and Fraction-based: channel matrices
 from the block recursion in plain Fractions, Gauss-Jordan inversion, direct
 entropy sums, a physical simulation of the ball process, and a double-loop
 mutual information, and a PNG decoder.  None of it shares code with the
-package.  The packed
+package; ``row_dyadics`` only reads a matrix's array and scale.  The packed
 big-integer product, the list-backed channel and inversion ladders, the
 list-backed h and w recursions and the depth-first output enumeration are
 the package's former implementations, kept here as references for the
@@ -21,6 +21,14 @@ import zlib
 from fractions import Fraction
 
 import numpy as np
+
+from trapdoor.dyadic import Dyadic
+
+
+def row_dyadics(M, i: int) -> list[Dyadic]:
+    """Row i of a DyadicMatrix, or of a ChannelMatrix's data, as Dyadics."""
+    m = getattr(M, "data", M)
+    return [Dyadic(v, m.exp) for v in m.array[i].tolist()]
 
 
 def channel_fractions(n: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:

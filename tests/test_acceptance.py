@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from acceptance_report import criterion
+from oracles import row_dyadics
 
 from trapdoor.bounds import (
     closed_form,
@@ -161,7 +162,7 @@ def test_criterion_5_enumeration_oracle():
                         total = total + p
                     assert total == 1, f"sum != 1 for {bits}, s0={P.s0}"
                     row = channel_row_from_enumeration(n, P.s0, bits)
-                    assert row == P.row_dyadics(i), f"row mismatch {bits}, s0={P.s0}"
+                    assert row == row_dyadics(P, i), f"row mismatch {bits}, s0={P.s0}"
         support = generate_outputs("101", 0).support()
         assert "110" not in support
         elapsed = time.perf_counter() - start

@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import row_dyadics
 from trapdoor import bounds, config, enumeration, fractal, optimize, verify
 from trapdoor.channel import (
     ChannelMatrix,
@@ -202,7 +203,7 @@ def test_bad_state_rejected_everywhere(name, bad):
 def test_integer_likes_act_as_their_state(state):
     assert enumeration.feasibility("01", "01", state) == Dyadic(1, 1)
     assert enumeration.generate_outputs("01", state) == enumeration.generate_outputs("01", 1)
-    assert enumeration.channel_row_from_enumeration(2, state, "01") == _p(2, 1).row_dyadics(1)
+    assert enumeration.channel_row_from_enumeration(2, state, "01") == row_dyadics(_p(2, 1), 1)
     b = bounds.upper_bound(3, state)
     assert b.s0 == 1 and type(b.s0) is int
     P = build_channel_matrix(2, state)

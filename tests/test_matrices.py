@@ -2,19 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import _pack_rows, _unpack_row
-from trapdoor.channel import exchange_conjugate
+from oracles import _pack_rows, _unpack_row, row_dyadics
+from trapdoor.channel import build_channel_matrix, exchange_conjugate, invert_channel_matrix
 from trapdoor.dyadic import Dyadic
 from trapdoor import matrices
 from trapdoor.matrices import DyadicMatrix, exact_product
 
 
 def naive_matmul(a, b):
-    n = len(a.int_rows)
-    rows = [
-        [sum(a.int_rows[i][k] * b.int_rows[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    """a @ b in Python ints, row by row: the rows of b weighted by the non-zero entries of a's row."""
+    rows = []
+    for row in a.int_rows:
+        acc = [0] * b.dim
+        for k, v in enumerate(row):
+            if v:
+                acc = [x + v * y for x, y in zip(acc, b.int_rows[k])]
+        rows.append(acc)
     return DyadicMatrix(rows, a.exp + b.exp)
 
 
@@ -80,7 +83,7 @@ def test_with_exp_checks_divisibility():
 def test_entry_and_rows():
     m = DyadicMatrix([[1, 0], [1, 2]], 1)
     assert Dyadic(int(m.array[1, 0]), m.exp) == Dyadic(1, 1)
-    assert m.row_dyadics(1) == [Dyadic(1, 1), Dyadic(1, 0)]
+    assert row_dyadics(m, 1) == [Dyadic(1, 1), Dyadic(1, 0)]
     assert m.row_sums() == [Dyadic(1, 1), Dyadic(3, 1)]
 
 
@@ -170,6 +173,105 @@ def test_product_is_identity_on_inverse_pairs(data, n, bits, a_exp, b_exp):
         assert not a.product_is_identity(DyadicMatrix(b, b_exp))
 
 
+# -- past one row block -------------------------------------------------------
+
+# 300 rows make three blocks of 128 rows, each multiplied over its own span of
+# non-zero columns; magnitudes 2**53 and 2**63 need limbs and Python-int sums
+_ROWS = 300
+_BIG_BITS = st.sampled_from([3, 53, 63])
+
+
+def _magnitude(rng, bits):
+    top = 1 << bits
+    m = (top, top - 1, int(rng.integers(1, 1 << 62)) % top or 1)[int(rng.integers(3))]
+    return -m if rng.integers(2) else m
+
+
+def _sparse(rng, bits, lower, per_row=6):
+    """A _ROWS x _ROWS object array with per_row non-zero entries in each row:
+    in columns up to the diagonal when lower, from the diagonal on otherwise."""
+    out = np.zeros((_ROWS, _ROWS), dtype=object)
+    for i in range(_ROWS):
+        for j in rng.integers(0, i + 1, per_row) if lower else rng.integers(i, _ROWS, per_row):
+            out[i, j] = _magnitude(rng, bits)
+    return out
+
+
+def _left_factor(rng, kind, bits):
+    """A left factor of the given structure; the last two are views of a
+    block lower triangular array, as the package's transposed and
+    exchange-reversed arrays are."""
+    arr = _sparse(rng, bits, lower=kind != "upper")
+    if kind == "zero block":
+        arr[128:256] = 0
+    view = {"transposed": lambda x: x.T, "reversed": lambda x: x[::-1, ::-1]}.get(kind)
+    m = DyadicMatrix(arr, 2)
+    return DyadicMatrix(view(m.array), 2) if view else m
+
+
+def _dense(rng, bits):
+    arr = rng.integers(-(1 << 20), 1 << 20, (_ROWS, _ROWS)).astype(object) << max(0, bits - 20)
+    for i, j in rng.integers(0, _ROWS, (8, 2)):
+        arr[i, j] = _magnitude(rng, bits)
+    return arr
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["lower", "upper", "zero block", "transposed", "reversed"]),
+       _BIG_BITS, _BIG_BITS)
+def test_products_past_one_row_block_match_naive(seed, kind, a_bits, b_bits):
+    rng = np.random.default_rng(seed)
+    a = _left_factor(rng, kind, a_bits)
+    assert kind not in ("transposed", "reversed") or not a.array.flags.c_contiguous
+    b = DyadicMatrix(_dense(rng, b_bits), 1)
+    want = naive_matmul(a, b)
+    assert exact_product(a.array, b.array).tolist() == want.int_rows
+    assert a.matmul(b) == want
+    assert a.product_equals(b, want)
+    off = np.array(want.int_rows, dtype=object)
+    off[tuple(rng.integers(0, _ROWS, 2))] += 1
+    assert not a.product_equals(b, DyadicMatrix(off, want.exp))
+    assert a.product_is_identity(b) == want.is_identity()
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["upper", "lower", "transposed", "reversed"]), _BIG_BITS,
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+def test_product_is_identity_past_one_row_block(seed, kind, bits, a_exp, b_exp):
+    # (I + N)(I - N) == I when N lives in the top-right block, since then N @ N == 0;
+    # the transposes and the exchange-reversed arrays multiply to I as well
+    rng = np.random.default_rng(seed)
+    h = int(rng.integers(1, _ROWS))
+    top_right = np.zeros((_ROWS, _ROWS), dtype=object)
+    top_right[:h, h:] = _sparse(rng, bits, lower=False)[:h, : _ROWS - h]
+    view = {"upper": lambda x: x, "lower": lambda x: np.ascontiguousarray(x.T),
+            "transposed": np.transpose, "reversed": lambda x: x[::-1, ::-1]}[kind]
+    eye = np.eye(_ROWS, dtype=np.int64).astype(object)
+
+    def factor(sign, exp):
+        return view(DyadicMatrix((eye + sign * top_right) << exp, exp).array)
+
+    a, b = DyadicMatrix(factor(1, a_exp), a_exp), factor(-1, b_exp)
+    assert a.product_is_identity(DyadicMatrix(b, b_exp))
+    assert a.matmul(DyadicMatrix(b, b_exp)).is_identity()
+    bad = b.astype(object)
+    bad[tuple(rng.integers(0, _ROWS, 2))] += 1
+    assert not a.product_is_identity(DyadicMatrix(bad, b_exp))
+
+
+@pytest.mark.parametrize("row", [640, 1023])
+def test_identity_check_reads_rows_only_the_lower_blocks_multiply(row):
+    # P(10, 0) is lower triangular: its first four row blocks have no entry in
+    # these columns, so only the lower blocks read this row of the inverse
+    P = build_channel_matrix(10, 0)
+    assert not P.data.array[:512, row].any()
+    inv = invert_channel_matrix(P)
+    bad = inv.array.copy()
+    bad[row, 0] += 1
+    assert P.data.product_is_identity(inv)
+    assert not P.data.product_is_identity(DyadicMatrix(bad, inv.exp))
+
+
 def test_int_rows_is_one_cached_list_view():
     m = DyadicMatrix([[1, -2], [3, 1 << 40]], 2)
     rows = m.int_rows
@@ -211,7 +313,7 @@ def test_public_results_are_python_types():
     inv = DyadicMatrix([[1, 0], [-1, 2]], 0)
     assert m.product_is_identity(inv) is True
     assert m.product_equals(inv, DyadicMatrix([[1, 1], [0, 1]], 0)) is False
-    values = m.matvec([Dyadic(1), Dyadic(1, 1)]) + m.row_sums() + m.row_dyadics(1)
+    values = m.matvec([Dyadic(1), Dyadic(1, 1)]) + m.row_sums() + row_dyadics(m, 1)
     assert all(type(d.num) is int for d in values)
 
 
