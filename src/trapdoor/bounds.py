@@ -39,7 +39,7 @@ import numpy as np
 from . import config
 from .channel import ChannelMatrix, build_channel_matrix, invert_channel_matrix, times_inverse
 from .dyadic import Dyadic
-from .matrices import DyadicMatrix, exact_product, int_array, shift_down
+from .matrices import DyadicMatrix, dtype_for, exact_product, int_array, max_abs, shift_down
 
 
 def _int64_entries(values) -> np.ndarray:
@@ -52,11 +52,13 @@ def _int64_entries(values) -> np.ndarray:
     if flat_ints and np.can_cast(values.dtype, np.int64):  # uint64 takes the checked path
         arr = values.astype(np.int64, copy=False).view()
     else:
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"entries must be integers, got {v!r}")
+        if not all(type(v) is int for v in values):  # plain ints convert as they are
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    raise ValueError(f"entries must be integers, got {v!r}")
+            values = [int(v) for v in values]
         try:
-            arr = np.array([int(v) for v in values], dtype=np.int64)
+            arr = np.array(values, dtype=np.int64)
         except OverflowError:
             raise ValueError("entries must fit in int64") from None
     arr.flags.writeable = False
@@ -117,7 +119,7 @@ class OmegaVector(_ExactVector):
     def __init__(self, n: int, s0: int, entries) -> None:
         super().__init__(n, entries)
         a = self.array
-        if a.max() > 0 or (a & 1).any():
+        if a.max() > 0 or np.bitwise_or.reduce(a) & 1:
             raise ValueError("entries must be even and non-positive")
         self.s0 = config.check_state(s0)
         if a[-self.s0] != 0:  # the all-s0 input: first entry or last
@@ -175,13 +177,18 @@ def entropy_vector_direct(P: ChannelMatrix) -> EntropyVector:
 def entropy_vector_recursive_step(n: int) -> EntropyVector:
     """h(n, 0) by the one-step block recursion h -> [h, h/2 + rev(h)/2 + 1].
 
-    On H = h * 2**k the step reads H -> [2H, H + rev(H) + 2**(k+1)].
+    On H = h * 2**k the step reads H -> [2H, H + rev(H) + 2**(k+1)].  Each
+    level writes its new block into the final array, then doubles H in place.
     """
     config.check_cap(n, config.BOUND_CAP_ENV, _VECTOR_COST)
-    h = np.zeros(1, dtype=np.int64)
+    out = np.zeros(1 << n, dtype=np.int64)
     for k in range(n):
-        h = np.concatenate([h << 1, h + h[::-1] + (2 << k)])
-    return EntropyVector(n, 0, h)
+        m = 1 << k
+        h, new = out[:m], out[m : 2 * m]
+        np.add(h, h[::-1], out=new)
+        new += 2 << k
+        h <<= 1
+    return EntropyVector(n, 0, out)
 
 
 def entropy_vector_recursive_even(n: int) -> EntropyVector:
@@ -192,18 +199,25 @@ def entropy_vector_recursive_even(n: int) -> EntropyVector:
     with r the reversal of h.  The 3/2 constants are pinned by the direct
     definition at n = 2 (fourth entry 3/2).  On H = h * 2**k and
     R = r * 2**k it reads
-        [4H, 2H + 2R + 4 * 2**k, 3H + R + 6 * 2**k, H + 3R + 6 * 2**k].
+        [4H, 2H + 2R + 4 * 2**k, 3H + R + 6 * 2**k, H + 3R + 6 * 2**k],
+    the three new blocks written into the final array before H is scaled.
     """
     config.check_cap(n, config.BOUND_CAP_ENV, _VECTOR_COST)
     if n % 2:
         raise ValueError("the four-block recursion covers even lengths only")
-    h = np.zeros(1, dtype=np.int64)
+    out = np.zeros(1 << n, dtype=np.int64)
     for k in range(0, n, 2):
-        r = h[::-1]
-        h = np.concatenate(
-            [h << 2, 2 * (h + r) + (4 << k), 3 * h + r + (6 << k), h + 3 * r + (6 << k)]
-        )
-    return EntropyVector(n, 0, h)
+        m = 1 << k
+        h, b1, b2, b3 = (out[i * m : (i + 1) * m] for i in range(4))
+        np.add(h, h[::-1], out=b1)
+        b1 <<= 1
+        b1 += 4 << k
+        np.multiply(h, 3, out=b2)
+        b2 += h[::-1]
+        b2 += 6 << k
+        np.copyto(b3, b2[::-1])  # H + 3R is 3H + R reversed
+        h <<= 2
+    return EntropyVector(n, 0, out)
 
 
 def entropy_state1(n: int) -> EntropyVector:
@@ -212,6 +226,13 @@ def entropy_state1(n: int) -> EntropyVector:
 
 
 # -- weight vectors -----------------------------------------------------------
+
+
+def _check_inverse(inverse: DyadicMatrix, n: int) -> DyadicMatrix:
+    """inverse, once its dimension is checked to be 2**n."""
+    if inverse.dim != 1 << n:
+        raise ValueError(f"the inverse has dimension {inverse.dim}, expected 2**{n} = {1 << n}")
+    return inverse
 
 
 def omega_direct(
@@ -225,7 +246,7 @@ def omega_direct(
     """
     if (P.n, P.s0) != (h.n, h.s0):
         raise ValueError("channel matrix and entropy vector disagree on (n, s0)")
-    inv = invert_channel_matrix(P) if inverse is None else inverse
+    inv = invert_channel_matrix(P) if inverse is None else _check_inverse(inverse, P.n)
     w = shift_down(exact_product(inv.array, h.array[:, None])[:, 0], h.n + inv.exp)
     if w is None:
         raise AssertionError("a weight entry is not an integer")
@@ -236,17 +257,25 @@ def omega_recursive(n: int) -> OmegaVector:
     """w(n, 0) by the block recursions, no matrices involved.
 
     Even lengths double as [w, w - 2, w - 2, w] from w(0) = [0]; odd lengths
-    double as [w, rev(w), w - 2, rev(w) - 2] from w(1) = [0, -2].
+    double as [w, rev(w), w - 2, rev(w) - 2] from w(1) = [0, -2], each level
+    written into the final array after w.
     """
     config.check_cap(n, config.BOUND_CAP_ENV, _VECTOR_COST)
-    w = np.array([0, -2] if n % 2 else [0], dtype=np.int64)
+    out = np.empty(1 << n, dtype=np.int64)
+    m = 1 + n % 2  # the length of w(0) or w(1)
+    out[:m] = [0, -2][:m]
     for _ in range(n // 2):
+        w, b1, b2, b3 = (out[i * m : (i + 1) * m] for i in range(4))
         if n % 2 == 0:
-            w = np.concatenate([w, w - 2, w - 2, w])
+            np.subtract(w, 2, out=b1)
+            np.copyto(b2, b1)
+            np.copyto(b3, w)
         else:
-            r = w[::-1]
-            w = np.concatenate([w, r, w - 2, r - 2])
-    return OmegaVector(n, 0, w)
+            np.copyto(b1, w[::-1])
+            np.subtract(w, 2, out=b2)
+            np.subtract(b1, 2, out=b3)
+        m *= 4
+    return OmegaVector(n, 0, out)
 
 
 def omega_state1(n: int) -> OmegaVector:
@@ -258,8 +287,14 @@ def omega_state1(n: int) -> OmegaVector:
 
 
 def exp2_sum(w: Sequence[int] | np.ndarray) -> Dyadic:
-    """Exact sum of 2**w_i for integer weights (grouped by distinct value)."""
-    values, counts = np.unique(np.asarray(w, dtype=np.int64), return_counts=True)
+    """Exact sum of 2**w_i for integer weights within int64.
+
+    The weights are grouped by distinct value over a copy in the narrowest
+    dtype that holds them.  Raises ValueError for entries that are not
+    integers within int64, as the vectors do.
+    """
+    w = _int64_entries(w)
+    values, counts = np.unique(w.astype(dtype_for(max_abs(w))), return_counts=True)
     emax = -int(values.min(initial=0))  # positive weights need no scale
     return Dyadic(sum(c << (emax + v) for v, c in zip(values.tolist(), counts.tolist())), emax)
 
@@ -318,10 +353,11 @@ def d_vector(n: int, s0: int = 0, inverse: DyadicMatrix | None = None) -> list[D
     s0 = config.check_state(s0)
     w = omega_recursive(n) if s0 == 0 else omega_state1(n)
     top = -int(w.array.min())
-    x = np.left_shift(1, w.array + top)  # 2**w scaled to integers by 2**top
+    x = w.array + top
+    np.left_shift(1, x, out=x)  # 2**w scaled to integers by 2**top
     if inverse is None:
         return [Dyadic(v, top) for v in times_inverse(x, s0).tolist()]
-    nums = exact_product(inverse.array.T, x[:, None])[:, 0]
+    nums = exact_product(_check_inverse(inverse, n).array.T, x[:, None])[:, 0]
     return [Dyadic(v, top + inverse.exp) for v in nums.tolist()]
 
 

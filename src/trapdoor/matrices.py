@@ -214,6 +214,8 @@ def _row_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, np.ndarray]
 
 def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b exactly for integer arrays: int64, or an object array of Python ints past int64."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
     return np.concatenate([block for _, block in _row_blocks(a, b)])
 
 

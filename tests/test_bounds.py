@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -155,11 +156,44 @@ _NOT_INT64 = {
 
 
 @pytest.mark.parametrize("bad", sorted(_NOT_INT64))
-@pytest.mark.parametrize("cls", [OmegaVector, EntropyVector])
-def test_vectors_reject_entries_that_are_not_int64_integers(cls, bad):
-    # rejected, never truncated or wrapped, before any other check sees them
+@pytest.mark.parametrize(
+    "make",
+    [lambda v: OmegaVector(1, 1, v), lambda v: EntropyVector(1, 1, v), exp2_sum],
+    ids=["OmegaVector", "EntropyVector", "exp2_sum"],
+)
+def test_vectors_reject_entries_that_are_not_int64_integers(make, bad):
+    # rejected, never truncated, parsed or wrapped, before any other check sees them
     with pytest.raises(ValueError, match=r"^entries must (be integers, got|fit in int64)"):
-        cls(1, 1, _NOT_INT64[bad])
+        make(_NOT_INT64[bad])
+
+
+_BUILDERS = [
+    entropy_vector_recursive_step,
+    entropy_vector_recursive_even,
+    entropy_state1,
+    omega_recursive,
+    omega_state1,
+]
+
+
+def test_vectors_are_built_in_place_at_their_final_size():
+    # one array of 2**16 int64 entries, plus at most a quarter of it in transients
+    for make in _BUILDERS:
+        tracemalloc.start()
+        try:
+            nbytes = make(16).array.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * nbytes, (make.__name__, peak / nbytes)
+    w = omega_recursive(16).array
+    tracemalloc.start()
+    try:
+        assert exp2_sum(w) == closed_form_S(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= w.nbytes, peak / w.nbytes
 
 
 # -- weight vectors -----------------------------------------------------------
@@ -230,6 +264,19 @@ def test_omega_mismatch_rejected(pairs):
     h1 = entropy_vector_direct(pairs(2)[1])
     with pytest.raises(ValueError):
         omega_direct(P, h1)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda P, inv: omega_direct(P, entropy_vector_direct(P), inverse=inv),
+        lambda P, inv: d_vector(P.n, P.s0, inverse=inv),
+    ],
+    ids=["omega_direct", "d_vector"],
+)
+def test_a_given_inverse_of_the_wrong_dimension_is_rejected(use, pairs, inverses):
+    with pytest.raises(ValueError, match=r"^the inverse has dimension 4, expected 2\*\*3 = 8$"):
+        use(pairs(3)[0], inverses(2, 0))
 
 
 # -- bound values -------------------------------------------------------------

@@ -111,6 +111,12 @@ def test_non_square_rejected():
         DyadicMatrix([[1, 2, 3], [4, 5, 6]], 0)
 
 
+def test_exact_product_rejects_unequal_inner_dimensions():
+    # the column span trimming must not slice a longer right factor to fit
+    with pytest.raises(ValueError, match=r"inner dimensions differ: \(4, 4\) @ \(8, 1\)"):
+        exact_product(np.eye(4, dtype=np.int64), np.arange(8)[:, None])
+
+
 # Magnitudes clustered where the exact product changes route: small entries
 # and 2^26 fit one float64 product in small dimensions, 2^53 needs limbs of the
 # right factor, 2^63 and 2^70 need limbs of both factors and Python-int sums;
