@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -68,24 +68,17 @@ def _int64_entries(values) -> np.ndarray:
 class _ExactVector:
     """A weight or entropy vector: one read-only int64 array of 2**n entries.
 
-    ``entries`` is the list export view, built from the array on first
-    access and cached, so every access returns the same list object.
+    ``entries`` is the list export view, built from the array on each read,
+    like ``ShapeGrid.codes``.
     """
 
-    __slots__ = ("n", "s0", "array", "_entries")
+    __slots__ = ("n", "s0", "array")
 
     def __init__(self, n: int, values) -> None:
         if len(values) != 1 << n:
             raise ValueError("length must be 2**n")
         self.n = n
         self.array = _int64_entries(values)
-        self._entries: list | None = None
-
-    @property
-    def entries(self) -> list:
-        if self._entries is None:
-            self._entries = self._export()
-        return self._entries
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, s0={self.s0})"
@@ -106,7 +99,8 @@ class EntropyVector(_ExactVector):
         if self.array.min() < 0 or self.array.max() > n << n:
             raise ValueError("entries must lie in [0, n]")
 
-    def _export(self) -> list[Dyadic]:
+    @property
+    def entries(self) -> list[Dyadic]:
         return [Dyadic(v, self.n) for v in self.array.tolist()]
 
 
@@ -127,7 +121,8 @@ class OmegaVector(_ExactVector):
         if n % 2 == 0 and not np.array_equal(a, a[::-1]):
             raise ValueError("even-length weight vectors must be palindromic")
 
-    def _export(self) -> list[int]:
+    @property
+    def entries(self) -> list[int]:
         return self.array.tolist()
 
 
@@ -135,22 +130,21 @@ class OmegaVector(_ExactVector):
 class BoundResult:
     """Exact bound data for one block length.
 
-    d holds the pre-normalized optimizer of the relaxed problem (the optimum
-    itself is d / S), and is None only when upper_bound was asked to skip it.
+    d holds the pre-normalized optimizer of the relaxed problem (d / S is the
+    optimum), or None when upper_bound skips it; negative_d_indices reads its signs.
     """
 
     n: int
     s0: int
     S: Dyadic
     c_up: float
-    d: list[Dyadic] | None = field(default=None)
-    has_negative_d: bool | None = field(default=None)
+    d: list[Dyadic] | None = None
 
     def negative_d_indices(self) -> list[int]:
-        """1-based indices i with d_i < 0 (empty when d is unavailable)."""
+        """1-based indices i with d_i < 0, read from the numerators (empty when d is unavailable)."""
         if self.d is None:
             return []
-        return [i + 1 for i, v in enumerate(self.d) if v < 0]
+        return [i + 1 for i, v in enumerate(self.d) if v.num < 0]
 
 
 # -- conditional entropy vectors ---------------------------------------------
@@ -319,8 +313,7 @@ def upper_bound(n: int, s0: int = 0, include_d: bool = True) -> BoundResult:
     S = exp2_sum(w.array)
     c_up = _log2_dyadic(S) / n
     d = d_vector(n, s0) if include_d else None
-    neg = None if d is None else any(v < 0 for v in d)
-    return BoundResult(n=n, s0=s0, S=S, c_up=c_up, d=d, has_negative_d=neg)
+    return BoundResult(n=n, s0=s0, S=S, c_up=c_up, d=d)
 
 
 def closed_form_S(n: int) -> Dyadic:

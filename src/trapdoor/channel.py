@@ -122,6 +122,17 @@ def build_channel_matrix(n: int, s0: int) -> ChannelMatrix:
     return exchange_conjugate(P) if s0 else P
 
 
+def check_channel_data(P: ChannelMatrix) -> ChannelMatrix:
+    """P, once its data is checked to be P(P.n, P.s0) on any scale; raises
+    ValueError naming the first row that differs."""
+    want = build_channel_matrix(P.n, P.s0).data
+    if P.data != want:
+        e = max(P.data.exp, want.exp)  # rows are compared on the finer scale
+        row = int((P.data.with_exp(e).array != want.with_exp(e).array).any(axis=1).argmax()) + 1
+        raise ValueError(f"not a valid channel matrix: row {row} differs from P({P.n}, {P.s0})")
+    return P
+
+
 def channel_pair(n: int) -> tuple[ChannelMatrix, ChannelMatrix]:
     """Both P(n, 0) and P(n, 1): one array, the second an exchange view of the first."""
     P0 = build_channel_matrix(n, 0)
@@ -191,8 +202,8 @@ def times_inverse(x: np.ndarray, s0: int) -> np.ndarray:
 
 
 def invert_channel_matrix(P: ChannelMatrix) -> DyadicMatrix:
-    """Exact inverse of a channel matrix; satisfies P @ inverse == I entrywise."""
-    return _inverse_ladder(P.n, P.s0)
+    """Exact inverse of a channel matrix, whose data must be P(n, s0); P @ inverse == I entrywise."""
+    return _inverse_ladder(P.n, check_channel_data(P).s0)
 
 
 def invert_two_step(n: int, s0: int) -> DyadicMatrix:

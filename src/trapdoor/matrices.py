@@ -93,26 +93,6 @@ def _limbs(x: np.ndarray, width: int) -> list[np.ndarray]:
     return limbs
 
 
-class _RightFactor:
-    """Right factor b of exact products, cut on first use into float64 limbs of base 2**width.
-
-    The width is fixed when the factor is made, from the whole left factor,
-    so b is cut at most once.
-    """
-
-    def __init__(self, b: np.ndarray, width: int) -> None:
-        self.b = b
-        self.max_abs = max_abs(b)
-        self.width = max(1, min(width, self.max_abs.bit_length()))
-        self._limbs: list[tuple[np.ndarray, int]] | None = None
-
-    def limbs(self) -> list[tuple[np.ndarray, int]]:
-        """(float64 limb, max |entry|) pairs: b == sum_t limb_t << (t * width)."""
-        if self._limbs is None:
-            self._limbs = [(v.astype(np.float64), max_abs(v)) for v in _limbs(self.b, self.width)]
-        return self._limbs
-
-
 def _abs_sums(x: np.ndarray, axis: int, wide: bool) -> np.ndarray:
     """Sums of |x| along an axis, in int64, or in Python ints when wide."""
     return np.abs(x.astype(object)).sum(axis=axis) if wide else np.abs(x, dtype=np.int64).sum(axis=axis)
@@ -161,16 +141,15 @@ def _block_stats(a: np.ndarray) -> list[tuple[int, int, int]]:
     return out
 
 
-def _block_product(a: np.ndarray, ra: int, right: _RightFactor, lo: int) -> np.ndarray:
+def _block_product(a: np.ndarray, ra: int, mb: int, b_limbs: list, b_width: int, lo: int) -> np.ndarray:
     """a @ b[lo : lo + a.shape[1]] exactly, as int64, or as an object array of
-    Python ints past int64.
+    Python ints past int64, from b's (float64 limb, max |limb|) pairs in base 2**b_width.
 
-    ra is the max row sum of |a|.  Every float64 product runs only after its
-    bound check: max row sum of |a limb| times max |b limb| must stay below 2**53.
+    ra is the max row sum of |a| and mb the max |b|.  Every float64 product runs only after
+    its bound check: max row sum of |a limb| times max |b limb| must stay below 2**53.
     """
-    mb = right.max_abs
     if ra == 0 or mb == 0:
-        return np.zeros((a.shape[0], right.b.shape[1]), dtype=np.int64)
+        return np.zeros((a.shape[0], b_limbs[0][0].shape[1]), dtype=np.int64)
     hi = lo + a.shape[1]
     if ra.bit_length() <= _ROW_SUM_BITS:
         a_width, a_limbs = 0, [(a.astype(np.float64), ra)]
@@ -181,13 +160,13 @@ def _block_product(a: np.ndarray, ra: int, right: _RightFactor, lo: int) -> np.n
     wide = ra * mb >= _INT64_LIMIT  # |any partial sum of shifted limb products| <= ra * mb
     acc = None
     for s, (a_f, a_sum) in enumerate(a_limbs):
-        for t, (b_f, b_max) in enumerate(right.limbs()):
+        for t, (b_f, b_max) in enumerate(b_limbs):
             if a_sum * b_max >= _FLOAT_EXACT:
                 raise ArithmeticError("a float64 limb product could round")
             part = (a_f @ b_f[lo:hi]).astype(np.int64)
             if wide:
                 part = part.astype(object)
-            shift = s * a_width + t * right.width
+            shift = s * a_width + t * b_width
             if shift:
                 part <<= shift
             if acc is None:
@@ -207,9 +186,11 @@ def _row_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, np.ndarray]
     """
     stats = _block_stats(a)
     bits = min(max((ra for ra, _, _ in stats), default=0).bit_length(), _ROW_SUM_BITS)
-    right = _RightFactor(b, 53 - bits)
+    mb = max_abs(b)
+    width = max(1, min(53 - bits, mb.bit_length()))
+    b_limbs = [(v.astype(np.float64), max_abs(v)) for v in _limbs(b, width)]
     for start, (ra, lo, hi) in zip(range(0, len(a), _BLOCK_ROWS), stats):
-        yield start, _block_product(a[start : start + _BLOCK_ROWS, lo:hi], ra, right, lo)
+        yield start, _block_product(a[start : start + _BLOCK_ROWS, lo:hi], ra, mb, b_limbs, width, lo)
 
 
 def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,8 +250,8 @@ class DyadicMatrix:
     def int_rows(self) -> list[list[int]]:
         """The entries as lists of Python ints, for export and test oracles.
 
-        Built from the array on first access and cached, so every access
-        returns the same list object; the package itself never reads it.
+        Built on first access and cached, as perfbench's self-test corrupts an
+        inverse by writing into the list; the package itself never reads it.
         """
         if self._rows is None:
             self._rows = self.array.tolist()

@@ -22,7 +22,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Callable, Iterator, Union
 
-from .channel import ChannelMatrix, build_channel_matrix
+from .channel import ChannelMatrix, check_channel_data
 from .dyadic import Dyadic
 from .matrices import DyadicMatrix
 
@@ -137,16 +137,9 @@ def read_matrix_csv(path: Union[str, Path]) -> Matrix:
     if s0_raw == "general":
         return data
     try:
-        matrix = ChannelMatrix(n, int(s0_raw), data)
-        expected = build_channel_matrix(n, matrix.s0).data
+        return check_channel_data(ChannelMatrix(n, int(s0_raw), data))
     except ValueError as exc:
         raise ValueError(f"{p}: {exc}") from None
-    e = max(data.exp, expected.exp)
-    differs = (data.with_exp(e).array != expected.with_exp(e).array).any(axis=1)
-    if differs.any():
-        row = int(differs.argmax()) + 1
-        raise ValueError(f"{p}: not a valid channel matrix: row {row} differs from P({n}, {s0_raw})")
-    return matrix
 
 
 def json_default(obj: Any) -> Any:

@@ -126,7 +126,23 @@ def test_vectors_hold_one_read_only_int64_array(make):
     assert not v.array.flags.writeable
     with pytest.raises(ValueError):
         v.array[0] = 1
-    assert v.entries is v.entries  # one cached list view
+    nums = v.array.tolist()
+    assert v.entries == (nums if isinstance(v, OmegaVector) else [Dyadic(x, 5) for x in nums])
+
+
+def test_entries_lists_are_not_kept_by_the_vectors():
+    # .entries is built on each read, so dropping the list leaves the
+    # vector's footprint where it was
+    for v in (entropy_vector_recursive_step(8), omega_recursive(10)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert len(v.entries) >= 256
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # freed lists stay on CPython's free list of 80 lists (56 bytes each)
+        assert kept < 8192, (type(v).__name__, kept)
 
 
 def test_vectors_accept_int_sequences_and_integer_arrays():
@@ -349,9 +365,8 @@ def test_upper_bound_attaches_d_without_building_a_matrix(monkeypatch):
         b = upper_bound(n)
         assert sum(b.d, Z) == b.S == closed_form_S(n)
         assert len(b.negative_d_indices()) == (1 << (n - 1) if n >= 2 else 0)
-        assert b.has_negative_d is (n >= 2)
     b = upper_bound(4, include_d=False)
-    assert b.d is None and b.has_negative_d is None
+    assert b.d is None
     assert b.negative_d_indices() == []
 
 

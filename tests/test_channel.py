@@ -12,8 +12,9 @@ from oracles import (
     invert_two_step_lists,
     row_dyadics,
 )
-from trapdoor.bounds import entropy_vector_direct
+from trapdoor.bounds import EntropyVector, entropy_vector_direct, omega_direct
 from trapdoor.channel import (
+    ChannelMatrix,
     _level,
     build_channel_matrix,
     channel_pair,
@@ -80,6 +81,22 @@ def test_invert_small_cases():
         [[1, 0], [-1, 2]], 0
     )
     assert invert_channel_matrix(build_channel_matrix(0, 0)).is_identity()
+
+
+def test_inversion_rejects_data_other_than_p():
+    bad = ChannelMatrix(1, 0, DyadicMatrix([[1, 1], [1, 1]], 1))
+    with pytest.raises(ValueError, match=r"not a valid channel matrix: row 1 differs from P\(1, 0\)"):
+        invert_channel_matrix(bad)
+    with pytest.raises(ValueError, match="row 1 differs"):
+        omega_direct(bad, EntropyVector(1, 0, [0, 2]))
+    P = build_channel_matrix(6, 1)
+    rows = P.data.array.copy()
+    rows[40, 0] += 1
+    with pytest.raises(ValueError, match=r"row 41 differs from P\(6, 1\)"):
+        invert_channel_matrix(ChannelMatrix(6, 1, DyadicMatrix(rows, 6)))
+    # the same matrix stored at a finer scale is still P(6, 1)
+    fine = ChannelMatrix(6, 1, P.data.with_exp(9))
+    assert invert_channel_matrix(fine) == invert_channel_matrix(P)
 
 
 @pytest.mark.parametrize("n", range(0, 7))
