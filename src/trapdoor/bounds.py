@@ -39,30 +39,19 @@ import numpy as np
 from . import config
 from .channel import ChannelMatrix, build_channel_matrix, invert_channel_matrix, times_inverse
 from .dyadic import Dyadic
-from .matrices import DyadicMatrix, dtype_for, exact_product, int_array, max_abs, shift_down
+from .matrices import DyadicMatrix, dtype_for, exact_product, max_abs, shift_down
 
 
 def _int64_entries(values) -> np.ndarray:
-    """values as a read-only int64 array, without a copy when it is one already.
-
-    Raises ValueError for anything but a flat sequence of integers within
-    int64: floats, bools, strings and larger ints are rejected, not rounded.
-    """
-    flat_ints = isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu"
-    if flat_ints and np.can_cast(values.dtype, np.int64):  # uint64 takes the checked path
-        arr = values.astype(np.int64, copy=False).view()
-    else:
-        if not all(type(v) is int for v in values):  # plain ints convert as they are
-            for v in values:
-                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                    raise ValueError(f"entries must be integers, got {v!r}")
-            values = [int(v) for v in values]
-        try:
-            arr = np.array(values, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("entries must fit in int64") from None
-    arr.flags.writeable = False
-    return arr
+    """values as a read-only flat int64 array (no copy of one), once config.integer_array accepts them."""
+    a = config.integer_array(values, "entries")
+    if a.ndim != 1:
+        raise ValueError(f"entries must be integers, got a {a.ndim}-d array")
+    if a.dtype == object or a.dtype == np.uint64 and a.max(initial=0) >> 63:
+        raise ValueError("entries must fit in int64")
+    a = a.astype(np.int64, copy=False).view()
+    a.flags.writeable = False
+    return a
 
 
 class _ExactVector:
@@ -75,10 +64,10 @@ class _ExactVector:
     __slots__ = ("n", "s0", "array")
 
     def __init__(self, n: int, values) -> None:
-        if len(values) != 1 << n:
-            raise ValueError("length must be 2**n")
-        self.n = n
         self.array = _int64_entries(values)
+        self.n = config.integer(n, "block length")
+        if len(self.array) != 1 << self.n:
+            raise ValueError("length must be 2**n")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, s0={self.s0})"
@@ -174,7 +163,7 @@ def entropy_vector_recursive_step(n: int) -> EntropyVector:
     On H = h * 2**k the step reads H -> [2H, H + rev(H) + 2**(k+1)].  Each
     level writes its new block into the final array, then doubles H in place.
     """
-    config.check_cap(n, config.BOUND_CAP_ENV, _VECTOR_COST)
+    n = config.check_cap(n, config.BOUND_CAP_ENV, _VECTOR_COST)
     out = np.zeros(1 << n, dtype=np.int64)
     for k in range(n):
         m = 1 << k
@@ -196,7 +185,7 @@ def entropy_vector_recursive_even(n: int) -> EntropyVector:
         [4H, 2H + 2R + 4 * 2**k, 3H + R + 6 * 2**k, H + 3R + 6 * 2**k],
     the three new blocks written into the final array before H is scaled.
     """
-    config.check_cap(n, config.BOUND_CAP_ENV, _VECTOR_COST)
+    n = config.check_cap(n, config.BOUND_CAP_ENV, _VECTOR_COST)
     if n % 2:
         raise ValueError("the four-block recursion covers even lengths only")
     out = np.zeros(1 << n, dtype=np.int64)
@@ -254,7 +243,7 @@ def omega_recursive(n: int) -> OmegaVector:
     double as [w, rev(w), w - 2, rev(w) - 2] from w(1) = [0, -2], each level
     written into the final array after w.
     """
-    config.check_cap(n, config.BOUND_CAP_ENV, _VECTOR_COST)
+    n = config.check_cap(n, config.BOUND_CAP_ENV, _VECTOR_COST)
     out = np.empty(1 << n, dtype=np.int64)
     m = 1 + n % 2  # the length of w(0) or w(1)
     out[:m] = [0, -2][:m]
@@ -307,7 +296,7 @@ def upper_bound(n: int, s0: int = 0, include_d: bool = True) -> BoundResult:
     include_d=False to skip d, whose O(n**2 2**n) cost dominates past
     n = 15 (seconds at n = 18 to 20).
     """
-    config.check_per_letter(n)
+    n = config.check_per_letter(n)
     s0 = config.check_state(s0)
     w = omega_recursive(n) if s0 == 0 else omega_state1(n)
     S = exp2_sum(w.array)
@@ -318,7 +307,7 @@ def upper_bound(n: int, s0: int = 0, include_d: bool = True) -> BoundResult:
 
 def closed_form_S(n: int) -> Dyadic:
     """Exact S for any block length: (5/2)**(n/2) for even n, (5/4)(5/2)**((n-1)/2) odd."""
-    config.check_per_letter(n)
+    n = config.check_per_letter(n)
     if n % 2 == 0:
         m = n // 2
         return Dyadic(5**m, m)
@@ -329,7 +318,7 @@ def closed_form_S(n: int) -> Dyadic:
 def closed_form(n: int) -> float:
     """The bound as a float for any n: log2(5/2)/2 at even lengths, and
     (log2(5/4) + (m-1) log2(5/2)) / (2m-1) at odd lengths."""
-    config.check_per_letter(n)
+    n = config.check_per_letter(n)
     if n % 2 == 0:
         return math.log2(2.5) / 2
     m = (n + 1) // 2
@@ -371,7 +360,7 @@ def _exact_distribution(p: Sequence) -> tuple[list[Fraction], np.ndarray]:
         except (OverflowError, ValueError, TypeError):
             raise ValueError(f"distribution entry {i} is {v}, not a finite number") from None
     scale = math.lcm(*(f.denominator for f in pf))
-    return pf, int_array([f.numerator * (scale // f.denominator) for f in pf])
+    return pf, config.integer_array([f.numerator * (scale // f.denominator) for f in pf], "distribution")
 
 
 def constraint_check(

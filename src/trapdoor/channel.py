@@ -41,9 +41,9 @@ class ChannelMatrix:
     __slots__ = ("n", "s0", "data")
 
     def __init__(self, n: int, s0: int, data: DyadicMatrix) -> None:
+        self.n = n = config.integer(n, "block length")
         if data.dim != 1 << n:
             raise ValueError(f"expected dimension {1 << n}, got {data.dim}")
-        self.n = n
         self.s0 = config.check_state(s0)
         self.data = data
 
@@ -117,7 +117,7 @@ def build_channel_matrix(n: int, s0: int) -> ChannelMatrix:
     Only P(n, 0) is built; P(n, 1) is its exchange view, sharing its memory.
     """
     s0 = config.check_state(s0)
-    config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
+    n = config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
     P = ChannelMatrix(n, 0, DyadicMatrix(_ladder(n), n))
     return exchange_conjugate(P) if s0 else P
 
@@ -212,7 +212,7 @@ def invert_two_step(n: int, s0: int) -> DyadicMatrix:
     The same recursion as invert_channel_matrix, without building P(n, s0) first.
     """
     s0 = config.check_state(s0)
-    config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
+    n = config.check_cap(n, config.MATRIX_CAP_ENV, _MATRIX_COST)
     if n % 2:
         raise ValueError("two-step inversion needs an even block length")
     return _inverse_ladder(n, s0)
@@ -242,20 +242,10 @@ def disjoint_support_check(
     def resolve(r: Union[int, str]) -> int:
         if isinstance(r, str):
             return P.row_index(r)
-        if not 1 <= r <= P.dim:
+        if not 1 <= config.integer(r, "row index") <= P.dim:
             raise ValueError(f"row index {r} out of range 1..{P.dim}")
         return r - 1
 
     a = P.data.array
     return not ((a[resolve(row_a)] != 0) & (a[resolve(row_b)] != 0)).any()
 
-
-__all__ = [
-    "ChannelMatrix",
-    "build_channel_matrix",
-    "channel_pair",
-    "invert_channel_matrix",
-    "invert_two_step",
-    "exchange_conjugate",
-    "disjoint_support_check",
-]

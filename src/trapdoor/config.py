@@ -1,15 +1,19 @@
-"""The input rules every view shares: caps, per-letter lengths, states, bit strings.
+"""The input rules every view shares: integers, caps, per-letter lengths, states, bit strings.
 
-Each rule lives here once and every entry point calls it.  A cap bounds a
-length by what it costs where the memory is allocated (4**n entries for a
-dense matrix or fractal grid, 2**n for a weight vector or an enumeration
-support) and can be overridden through an environment variable.
+Each rule lives here once and every entry point calls it.  No integer input
+(a length, count, side or exponent, or an entry of an exact array) is made
+from a float, a string, a Fraction or None.  A cap bounds a length by what
+it costs where the memory is allocated (4**n entries for a dense matrix or
+fractal grid, 2**n for a weight vector or an enumeration support) and can be
+overridden through an environment variable.
 """
 
 from __future__ import annotations
 
 import operator
 import os
+
+import numpy as np
 
 DEFAULT_MATRIX_CAP = 14  # dense 2**n x 2**n matrices and 2**k x 2**k fractal grids
 DEFAULT_INPUT_CAP = 24   # enumeration input length (worst-case support is 2**n)
@@ -26,6 +30,31 @@ _DEFAULTS = {
 }
 
 
+def integer(v, what: str) -> int:
+    """v as a plain int (an int, a bool or a numpy integer), else ValueError naming ``what``."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {v!r}") from None
+
+
+def integer_array(values, what: str) -> np.ndarray:
+    """An integer ndarray as it is; anything else scanned into int64, or Python ints past
+    int64, once every entry is an int or a numpy integer (not a bool), else ValueError."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values
+    arr = np.asarray(values, dtype=object)
+    others = set(map(type, arr.flat)) - {int}
+    bad = {t for t in others if t is bool or not issubclass(t, np.integer)}
+    if bad:
+        v = next(v for v in arr.flat if type(v) in bad)
+        raise ValueError(f"{what} must be integers, got {v!r}")
+    try:
+        return arr.astype(np.int64)
+    except OverflowError:  # past int64
+        return np.frompyfunc(int, 1, 1)(arr) if others else arr
+
+
 def cap(env: str) -> int:
     """The cap named by env: the variable's value if it is set, else the default."""
     raw = os.environ.get(env)
@@ -40,12 +69,13 @@ def cap(env: str) -> int:
     return value
 
 
-def check_cap(n: int, env: str, cost: str, what: str = "block length") -> None:
-    """Raise ValueError unless 0 <= n <= the cap read from env.
+def check_cap(n: int, env: str, cost: str, what: str = "block length") -> int:
+    """n as a plain int; ValueError unless it is an integer in [0, the cap read from env].
 
     ``cost`` says what a length costs, with ``{n}`` standing for the length
     (e.g. "storage is 4**{n} entries"); the message quotes it.
     """
+    n = integer(n, what)
     if n < 0:
         raise ValueError(f"{what} must be non-negative")
     limit = cap(env)
@@ -53,20 +83,22 @@ def check_cap(n: int, env: str, cost: str, what: str = "block length") -> None:
         raise ValueError(
             f"{what} {n} exceeds the cap {limit} ({cost.format(n=n)}; override with {env})"
         )
+    return n
 
 
-def check_per_letter(n: int) -> None:
-    """Raise ValueError unless n >= 1: a per-letter quantity divides by the block length."""
+def check_per_letter(n: int) -> int:
+    """n as a plain int; ValueError unless n >= 1: a per-letter quantity divides by it."""
+    n = integer(n, "block length")
     if n < 1:
         raise ValueError("a per-letter quantity needs block length n >= 1")
+    return n
 
 
 def check_state(s0) -> int:
-    """The initial state as a plain int; anything but 0 or 1 (bools and numpy
-    integers included, floats and strings excluded) raises ValueError."""
+    """The initial state as a plain int; anything but an integer 0 or 1 raises ValueError."""
     try:
-        s = operator.index(s0)
-    except TypeError:
+        s = integer(s0, "initial state")
+    except ValueError:
         s = None
     if s not in (0, 1):
         raise ValueError("initial state must be 0 or 1")

@@ -17,6 +17,8 @@ import functools
 import numbers
 from fractions import Fraction
 
+from . import config
+
 
 @functools.total_ordering
 class Dyadic:
@@ -28,8 +30,10 @@ class Dyadic:
     exp: int
 
     def __init__(self, num: int = 0, exp: int = 0) -> None:
+        if not (type(num) is int and type(exp) is int):  # plain ints skip the rule
+            num, exp = config.integer(num, "numerator"), config.integer(exp, "exponent")
         if exp < 0:
-            raise ValueError("exponent must be non-negative (use Dyadic.pow2 for 2**k)")
+            raise ValueError("exponent must be non-negative (use Dyadic.shift for 2**k)")
         if num == 0:
             exp = 0
         elif exp > 0 and num % 2 == 0:
@@ -42,15 +46,6 @@ class Dyadic:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Dyadic is immutable")
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def pow2(cls, k: int) -> "Dyadic":
-        """Return ``2**k`` for any integer k (negative k allowed)."""
-        if k >= 0:
-            return cls(1 << k, 0)
-        return cls(1, -k)
 
     # -- conversions --------------------------------------------------------
 

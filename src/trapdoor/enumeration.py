@@ -124,7 +124,7 @@ def channel_row_from_enumeration(n: int, s0: int, bits: str) -> list[Dyadic]:
     Equals the corresponding row of the channel matrix built by the block
     recursion (cross-checked exhaustively in the tests).
     """
-    config.check_bits(bits, "input", n)
+    config.check_bits(bits, "input", config.integer(n, "block length"))
     dist = generate_outputs(bits, s0)
     row = [Dyadic(0)] * (1 << n)
     for y, p in dist.outputs.items():

@@ -107,25 +107,19 @@ class ShapeGrid:
     The codes live in one read-only int8 numpy array, ``array``: one byte per
     cell, so resolution 14 takes 256 MiB.  ``codes`` is the same grid as a
     list of lists; it is computed from the array on each access, not cached.
-    A grid is built from a list of lists or from an integer array; either is
-    copied and checked for shape and code range.
+    A grid is built from a list of lists or an integer array, checked for
+    shape (a ragged list fails it) before its codes, and copied.
     """
 
     __slots__ = ("resolution", "array")
 
     def __init__(self, resolution: int, codes: list[list[int]] | np.ndarray) -> None:
+        self.resolution = resolution = config.integer(resolution, "resolution")
         side = 1 << resolution
-        if not isinstance(codes, np.ndarray) and (
-            len(codes) != side or any(len(r) != side for r in codes)
-        ):
-            raise ValueError(f"expected a {side}x{side} grid")
-        arr = np.asarray(codes)
+        arr = codes if isinstance(codes, np.ndarray) else np.array(codes, dtype=object)
         if arr.shape != (side, side):
             raise ValueError(f"expected a {side}x{side} grid")
-        if arr.dtype.kind not in "iuO":
-            raise ValueError(f"height codes must be integers, got dtype {arr.dtype}")
-        self.resolution = resolution
-        self.array = _int8_codes(arr, resolution)
+        self.array = _int8_codes(config.integer_array(arr, "height codes"), resolution)
         self.array.flags.writeable = False
 
     @classmethod
@@ -314,7 +308,7 @@ def ifs_iterate(ifs: Ifs, initial: ShapeGrid, k: int) -> ShapeGrid:
     a mark below every code, so a map whose view holds anything above the
     mark would overwrite an earlier map's cell.
     """
-    if k < 0:
+    if config.integer(k, "iteration count") < 0:
         raise ValueError("iteration count must be non-negative")
     config.check_cap(
         initial.resolution + k, config.MATRIX_CAP_ENV, "its grid alone takes 4**{n} bytes", "resolution"

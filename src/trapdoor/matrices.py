@@ -33,6 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import config
 from .dyadic import Dyadic
 
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer of smaller magnitude
@@ -44,18 +45,6 @@ _ROW_SUM_BITS = 40
 # speed from 128 rows up (measured at dimensions 1024 to 4096)
 _BLOCK_ROWS = 128
 _NARROW = tuple(np.dtype(t) for t in (np.int16, np.int32, np.int64))
-
-
-def int_array(rows) -> np.ndarray:
-    """Integer rows (or one row) as an int64 array, or as an object array of
-    Python ints when some entry's magnitude does not fit in int64."""
-    try:
-        arr = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
-    if arr.size and arr.min() == np.iinfo(np.int64).min:
-        return arr.astype(object)  # -2**63 has no int64 magnitude
-    return arr
 
 
 def dtype_for(top: int) -> np.dtype:
@@ -83,7 +72,8 @@ def _limbs(x: np.ndarray, width: int) -> list[np.ndarray]:
     top = max_abs(x)
     if top >> width == 0:
         return [x]
-    mag, neg = np.abs(x), x < 0
+    # np.abs wraps -2**63 in int64, so a magnitude past int64 takes Python ints
+    mag, neg = np.abs(x if top < _INT64_LIMIT else x.astype(object)), x < 0
     mask = (1 << width) - 1
     limbs = []
     for shift in range(0, top.bit_length(), width):
@@ -228,12 +218,10 @@ class DyadicMatrix:
     __slots__ = ("array", "exp", "_rows")
 
     def __init__(self, entries, exp: int = 0) -> None:
-        try:
-            arr = entries if isinstance(entries, np.ndarray) else int_array(entries)
-        except ValueError:  # ragged rows
-            raise ValueError("matrix must be square") from None
+        arr = config.integer_array(entries, "matrix entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("matrix must be square")
+        exp = config.integer(exp, "scale exponent")
         if exp < 0:
             raise ValueError("scale exponent must be non-negative")
         dt = dtype_for(max_abs(arr))  # stored in the narrowest dtype, read-only
@@ -256,12 +244,6 @@ class DyadicMatrix:
         if self._rows is None:
             self._rows = self.array.tolist()
         return self._rows
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def identity(cls, dim: int) -> "DyadicMatrix":
-        return cls(np.eye(dim, dtype=np.int16), 0)
 
     # -- scale handling ------------------------------------------------------
 
@@ -346,6 +328,6 @@ class DyadicMatrix:
         if len(vec) != self.dim:
             raise ValueError("dimension mismatch")
         e = max((d.exp for d in vec), default=0)  # vec[i] == nums[i] / 2**e
-        nums = int_array([[d.num << (e - d.exp)] for d in vec])
+        nums = config.integer_array([[d.num << (e - d.exp)] for d in vec], "vector entries")
         e += self.exp
         return [Dyadic(v, e) for v in exact_product(self.array, nums)[:, 0].tolist()]

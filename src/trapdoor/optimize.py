@@ -200,7 +200,7 @@ def blahut_arimoto(
     config.check_per_letter(P.n)
     if not tol > 0:  # NaN included
         raise ValueError("tolerance must be positive")
-    if max_iter < 1:
+    if config.integer(max_iter, "max_iter") < 1:
         raise ValueError("need at least one iteration")
     W, wlogw = _float_matrix(P)
     dim = P.dim

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import re
 import struct
 import zlib
 from pathlib import Path
 from typing import Any, Callable, Iterator, Union
 
+import numpy as np
+
+from . import config
 from .channel import ChannelMatrix, check_channel_data
 from .dyadic import Dyadic
 from .matrices import DyadicMatrix
@@ -132,8 +134,9 @@ def read_matrix_csv(path: Union[str, Path]) -> Matrix:
         rows.append(cells)
     # the shared scale is the largest exponent of a cell in lowest terms
     exp = max((d.exp for d in parsed.values()), default=0)
-    value = {c: d.num << (exp - d.exp) for c, d in parsed.items()}
-    data = DyadicMatrix([[value[c] for c in cells] for cells in rows], exp)
+    values = config.integer_array([d.num << (exp - d.exp) for d in parsed.values()], "matrix entries")
+    index = {c: i for i, c in enumerate(parsed)}  # each cell as the index of its value
+    data = DyadicMatrix(values[np.array([[index[c] for c in cells] for cells in rows], dtype=np.intp)], exp)
     if s0_raw == "general":
         return data
     try:
@@ -169,8 +172,8 @@ def png_bytes(pixels: bytes, width: int, height: int) -> bytes:
     """
     for name, side in (("width", width), ("height", height)):
         try:
-            ok = 1 <= operator.index(side) <= _PNG_MAX_SIDE
-        except TypeError:
+            ok = 1 <= config.integer(side, name) <= _PNG_MAX_SIDE
+        except ValueError:
             ok = False
         if not ok:
             raise ValueError(f"PNG {name} must be an integer from 1 to {_PNG_MAX_SIDE}, got {side!r}")

@@ -312,7 +312,7 @@ def run_checks(max_n: int = 8, names: Iterable[str] | None = None) -> list[Check
 
     Raises ValueError unless 0 <= max_n <= the matrix cap.
     """
-    config.check_cap(
+    max_n = config.check_cap(
         max_n, config.MATRIX_CAP_ENV, "its largest P(n, s0) stores 4**{n} entries", "max n"
     )
     ctx = _Context(max_n)

@@ -513,7 +513,7 @@ def test_d_vector_equals_transposed_inverse_times_weights(inverses):
             inv = inverses(n, s0)
             w = omega_recursive(n) if s0 == 0 else omega_state1(n)
             transposed = DyadicMatrix([list(col) for col in zip(*inv.int_rows)], inv.exp)
-            expect = transposed.matvec([Dyadic.pow2(v) for v in w.entries])
+            expect = transposed.matvec([Dyadic(1).shift(v) for v in w.entries])
             assert d_vector(n, s0, inverse=inv) == expect
 
 

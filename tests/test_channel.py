@@ -221,7 +221,7 @@ def test_exchange_swaps_states(n, pairs, inverses):
 
 
 def test_exchange_on_identity():
-    I = DyadicMatrix.identity(8)
+    I = DyadicMatrix(np.eye(8, dtype=np.int64))
     assert exchange_conjugate(I) == I
 
 
@@ -243,6 +243,9 @@ def test_disjoint_support(pairs):
     assert not disjoint_support_check(P0, 1, 1)
     with pytest.raises(ValueError):
         disjoint_support_check(P, 0, 1)  # 1-based: 0 is out of range
+    assert disjoint_support_check(P, np.int64(1), 4)
+    with pytest.raises(ValueError, match=r"^row index must be an integer, got 1\.0$"):
+        disjoint_support_check(P, 1.0, 4)  # not a traceback from the array index
     with pytest.raises(ValueError):
         disjoint_support_check(P, "000", "111")
 

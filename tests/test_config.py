@@ -1,16 +1,19 @@
-"""The shared input rules: one cap check, one state check, one bit-string check.
+"""The shared input rules: one integer rule for scalars and one for entries,
+one cap check, one state check, one bit-string check.
 
 Each table runs every entry point that takes the input, so a copy of a rule
 that drifts from the others shows up as one failing row.
 """
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oracles import row_dyadics
-from trapdoor import bounds, config, enumeration, fractal, optimize, verify
+from test_bounds import _NOT_INT64
+from trapdoor import bounds, config, enumeration, fractal, optimize, serialization, verify
 from trapdoor.channel import (
     ChannelMatrix,
     build_channel_matrix,
@@ -19,6 +22,116 @@ from trapdoor.channel import (
     invert_two_step,
 )
 from trapdoor.dyadic import Dyadic
+from trapdoor.fractal import ShapeGrid
+from trapdoor.matrices import DyadicMatrix
+
+# -- exact integers --------------------------------------------------------------
+
+# every entry point that takes a length, count, resolution, side or exponent,
+# called with the value 2 in that place
+INTEGER_SCALARS = {
+    "build_channel_matrix": lambda v: build_channel_matrix(v, 0),
+    "channel_pair": channel_pair,
+    "invert_two_step": lambda v: invert_two_step(v, 0),
+    "ChannelMatrix": lambda v: ChannelMatrix(v, 0, build_channel_matrix(2, 0).data),
+    "channel_row_from_enumeration": lambda v: enumeration.channel_row_from_enumeration(v, 0, "01"),
+    "entropy_vector_recursive_step": bounds.entropy_vector_recursive_step,
+    "entropy_vector_recursive_even": bounds.entropy_vector_recursive_even,
+    "entropy_state1": bounds.entropy_state1,
+    "omega_recursive": bounds.omega_recursive,
+    "omega_state1": bounds.omega_state1,
+    "EntropyVector": lambda v: bounds.EntropyVector(v, 0, [0, 2, 3, 3]),
+    "OmegaVector": lambda v: bounds.OmegaVector(v, 0, [0, -2, -2, 0]),
+    "upper_bound": bounds.upper_bound,
+    "d_vector": bounds.d_vector,
+    "closed_form": bounds.closed_form,
+    "closed_form_S": bounds.closed_form_S,
+    "ShapeGrid": lambda v: ShapeGrid(v, np.zeros((4, 4), dtype=np.int8)),
+    "ifs_iterate": lambda v: fractal.ifs_iterate(fractal.sierpinski_ifs(), fractal.unit_grid(), v),
+    "run_checks": lambda v: verify.run_checks(max_n=v, names=["channel matrices stochastic"]),
+    "blahut_arimoto": lambda v: optimize.blahut_arimoto(build_channel_matrix(1, 0), max_iter=v),
+    "png_bytes_width": lambda v: serialization.png_bytes(bytes(4), v, 2),
+    "png_bytes_height": lambda v: serialization.png_bytes(bytes(4), 2, v),
+    "Dyadic_num": lambda v: Dyadic(v, 1),
+    "Dyadic_exp": lambda v: Dyadic(1, v),
+    "DyadicMatrix_exp": lambda v: DyadicMatrix([[1]], v),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", None, Fraction(2)], ids=repr)
+@pytest.mark.parametrize("name", sorted(INTEGER_SCALARS))
+def test_non_integer_scalars_rejected_everywhere(name, bad):
+    # never rounded, parsed or kept, and never a TypeError from deeper down
+    with pytest.raises(ValueError, match=f"must be an integer.*got {re.escape(repr(bad))}"):
+        INTEGER_SCALARS[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_SCALARS))
+def test_numpy_integer_scalars_accepted_everywhere(name):
+    assert INTEGER_SCALARS[name](np.int64(2)) is not None
+
+
+def test_integer_likes_become_plain_ints():
+    for v in (2, np.int64(2), np.uint8(2)):
+        assert type(config.integer(v, "x")) is int and config.integer(v, "x") == 2
+    assert config.integer(True, "x") == 1 and type(config.integer(True, "x")) is int
+    d = Dyadic(np.int64(4), np.int8(1))
+    assert d == Dyadic(2) and type(d.num) is int and type(d.exp) is int
+    assert repr(Dyadic(True)) == "Dyadic(1, 0)"
+    P = build_channel_matrix(np.int64(2), 0)
+    assert P == build_channel_matrix(2, 0) and type(P.n) is int
+    assert type(bounds.upper_bound(np.int64(3)).n) is int
+    assert type(fractal.ifs_iterate(fractal.sierpinski_ifs(), fractal.unit_grid(), np.int64(1)).resolution) is int
+
+
+# _NOT_INT64's rows that are not integers at all, and a Fraction; integers past
+# int64 are valid matrix entries and grid codes (as Python ints)
+_NON_INTEGER_ROWS = ("float", "numpy float", "bool", "numpy bool", "str", "None", "float array", "bool array", "str array")
+NOT_INTEGERS = {k: _NOT_INT64[k] for k in _NON_INTEGER_ROWS} | {"Fraction": [Fraction(-2), 0]}
+
+
+def _square(row, as_array):
+    """The two entries of row over a row of zeros: an ndarray row stays an
+    ndarray of its dtype; a list row is given as lists or as an object array."""
+    if isinstance(row, np.ndarray):
+        return np.stack([row, np.zeros_like(row)])
+    rows = [list(row), [0, 0]]
+    return np.array(rows, dtype=object) if as_array else rows
+
+
+INTEGER_ENTRIES = {
+    "DyadicMatrix_list": lambda row: DyadicMatrix(_square(row, False)),
+    "DyadicMatrix_array": lambda row: DyadicMatrix(_square(row, True)),
+    "ShapeGrid_list": lambda row: ShapeGrid(1, _square(row, False)),
+    "ShapeGrid_array": lambda row: ShapeGrid(1, _square(row, True)),
+    "EntropyVector": lambda row: bounds.EntropyVector(1, 0, row),
+    "OmegaVector": lambda row: bounds.OmegaVector(1, 1, row),
+    "exp2_sum": bounds.exp2_sum,
+}
+
+
+@pytest.mark.parametrize("bad", sorted(NOT_INTEGERS))
+@pytest.mark.parametrize("name", sorted(INTEGER_ENTRIES))
+def test_non_integer_entries_rejected_everywhere(name, bad):
+    with pytest.raises(ValueError, match="must be integers, got"):
+        INTEGER_ENTRIES[name](NOT_INTEGERS[bad])
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.uint8])
+def test_integer_arrays_pass_unchanged(dtype):
+    a = np.arange(6, dtype=dtype).reshape(2, 3)
+    assert config.integer_array(a, "entries") is a
+
+
+def test_integer_array_scans_everything_else():
+    out = config.integer_array([[1, 2], [np.int32(3), 4]], "entries")
+    assert out.dtype == np.int64 and out.tolist() == [[1, 2], [3, 4]]
+    wide = config.integer_array([np.uint64(2**64 - 1), 2**70], "entries")
+    assert wide.dtype == object and [type(v) for v in wide] == [int, int]
+    assert wide.tolist() == [2**64 - 1, 2**70]
+    with pytest.raises(ValueError, match=r"^weights must be integers, got True$"):
+        config.integer_array([1, True], "weights")
+
 
 # -- caps ------------------------------------------------------------------------
 

@@ -22,10 +22,8 @@ def test_normalization():
 
 
 def test_negative_exponent_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"use Dyadic\.shift"):
         Dyadic(1, -1)
-    assert Dyadic.pow2(-3) == Dyadic(1, 3)
-    assert Dyadic.pow2(3) == Dyadic(8, 0)
 
 
 def test_basic_arithmetic():

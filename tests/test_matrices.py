@@ -101,7 +101,7 @@ def test_matvec_exact():
 
 
 def test_identity_detection():
-    assert DyadicMatrix.identity(4).is_identity()
+    assert DyadicMatrix(np.eye(4, dtype=np.int64)).is_identity()
     assert DyadicMatrix([[2, 0], [0, 2]], 1).is_identity()
     assert not DyadicMatrix([[1, 0], [1, 1]], 0).is_identity()
 
@@ -115,6 +115,14 @@ def test_exact_product_rejects_unequal_inner_dimensions():
     # the column span trimming must not slice a longer right factor to fit
     with pytest.raises(ValueError, match=r"inner dimensions differ: \(4, 4\) @ \(8, 1\)"):
         exact_product(np.eye(4, dtype=np.int64), np.arange(8)[:, None])
+
+
+def test_exact_product_of_the_int64_minimum():
+    # np.abs wraps -2**63 in int64, so its limbs must come from its Python-int magnitude
+    a = np.array([[-(2**63), 0], [0, 1]], dtype=np.int64)
+    b = np.array([[3], [2**60]], dtype=np.int64)
+    assert exact_product(a, b).tolist() == [[-3 * 2**63], [2**60]]
+    assert exact_product(b.T.copy(), a).tolist() == [[-3 * 2**63, 2**60]]
 
 
 # Magnitudes clustered where the exact product changes route: small entries
@@ -291,7 +299,7 @@ def test_int_rows_is_one_cached_list_view():
 def test_object_dtype_beyond_int64(edge):
     m = DyadicMatrix([[edge, 1], [0, 1]], 0)
     assert m.array.dtype == object  # -2**63 too: its magnitude leaves int64
-    one = DyadicMatrix.identity(2)
+    one = DyadicMatrix(np.eye(2, dtype=np.int64))
     assert m.matmul(one) == m and one.matmul(m) == m
     assert m.matmul(one).array.dtype == object
     prod = DyadicMatrix([[2 * edge, 2], [0, 2]], 1)

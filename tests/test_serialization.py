@@ -115,7 +115,7 @@ def test_read_errors(tmp_path):
 def test_read_rejects_a_stochastic_matrix_that_is_not_the_channel(tmp_path):
     # the identity is stochastic with power-of-two entries, but it is not P(2, 0)
     path = tmp_path / "identity.csv"
-    path.write_text(matrix_csv_text(DyadicMatrix.identity(4)).replace("s0=general", "s0=0"))
+    path.write_text(matrix_csv_text(DyadicMatrix(np.eye(4, dtype=np.int64))).replace("s0=general", "s0=0"))
     with pytest.raises(ValueError, match=re.escape(f"{path}: not a valid channel matrix: row 2 differs from P(2, 0)")):
         read_matrix_csv(path)
 
