@@ -56,8 +56,12 @@ class ChannelMatrix:
         return int(config.check_bits(bits, "input", self.n) or "0", 2)
 
     def validate(self) -> None:
-        """Check stochasticity and the power-of-two entry property; raises on failure."""
-        if any(s != 1 for s in self.data.row_sums()):
+        """Check stochasticity and the power-of-two entry property; raises on failure.
+
+        Rows are compared with 1 as integers: each row sum of the array must
+        equal 2**exp.
+        """
+        if not self.data.rows_sum_to_one():
             raise ValueError("row does not sum to exactly 1")
         for _ in self.halvings():  # raises on an entry that is neither 0 nor a power of two
             pass

@@ -1,17 +1,20 @@
-"""The input rules every view shares: integers, caps, per-letter lengths, states, bit strings.
+"""The input rules every view shares: integers, rationals, caps, per-letter lengths, states, bit strings.
 
 Each rule lives here once and every entry point calls it.  No integer input
 (a length, count, side or exponent, or an entry of an exact array) is made
-from a float, a string, a Fraction or None.  A cap bounds a length by what
-it costs where the memory is allocated (4**n entries for a dense matrix or
-fractal grid, 2**n for a weight vector or an enumeration support) and can be
-overridden through an environment variable.
+from a float, a string, a Fraction or None, and no exact rational (a
+coefficient of an affine map, or a point it acts on) from a float, a
+string, a bool or None.  A cap bounds a length by what it costs where the
+memory is allocated (4**n entries for a dense matrix or fractal grid, 2**n
+for a weight vector or an enumeration support) and can be overridden
+through an environment variable.
 """
 
 from __future__ import annotations
 
 import operator
 import os
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +39,23 @@ def integer(v, what: str) -> int:
         return operator.index(v)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {v!r}") from None
+
+
+def rational(v, what: str) -> Fraction:
+    """v as a Fraction (an int or numpy integer but not a bool, a Fraction or a
+    Dyadic), else ValueError naming ``what``."""
+    from .dyadic import Dyadic  # dyadic imports this module
+
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, Dyadic):
+        return v.as_fraction()
+    if not isinstance(v, bool):
+        try:
+            return Fraction(operator.index(v))
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an exact rational (an int, Fraction or Dyadic), got {v!r}")
 
 
 def integer_array(values, what: str) -> np.ndarray:

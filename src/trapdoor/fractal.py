@@ -44,7 +44,8 @@ class GridSemanticsError(ValueError):
 class AffineMap3:
     """Affine map of R^3: (x, y, z) -> linear @ (x, y, z) + translation.
 
-    Coefficients are exact rationals.  The restriction to the (x, y) plane
+    Coefficients are exact rationals (ints, Fractions and Dyadics are taken;
+    a float, string or bool raises ValueError).  The restriction to the (x, y) plane
     must be a contraction; this is asserted numerically on construction of an
     Ifs.
     """
@@ -54,14 +55,14 @@ class AffineMap3:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], translation: Sequence) -> "AffineMap3":
-        lin = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        tr = tuple(Fraction(v) for v in translation)
+        lin = tuple(tuple(config.rational(v, "map coefficient") for v in row) for row in rows)
+        tr = tuple(config.rational(v, "map translation") for v in translation)
         if len(lin) != 3 or any(len(r) != 3 for r in lin) or len(tr) != 3:
             raise ValueError("need a 3x3 linear part and a length-3 translation")
         return cls(lin, tr)  # type: ignore[arg-type]
 
     def apply(self, x, y, z) -> tuple[Fraction, Fraction, Fraction]:
-        x, y, z = Fraction(x), Fraction(y), Fraction(z)
+        x, y, z = (config.rational(v, "point coordinate") for v in (x, y, z))
         lin, tr = self.linear, self.translation
         return (
             lin[0][0] * x + lin[0][1] * y + lin[0][2] * z + tr[0],
@@ -233,6 +234,15 @@ def _cell_transform(m: AffineMap3, res: int) -> tuple[int, int, int, int, int, i
     (r, c) maps to (r0 + dr_dr*r + dr_dc*c, c0 + dc_dr*r + dc_dc*c) and the
     height code moves by +zshift.  Raises GridSemanticsError when the map
     does not send dyadic cells of this resolution onto cells of the next.
+
+    The action is affine in the cell index, so it is computed in closed form
+    from the xy block L and the translation t.  With u = 2**(res+1), cell
+    (r, c) has centre x = (2c+1)/u, y = 1 - (2r+1)/u, and a centre (x', y')
+    of the next resolution is cell (u (1-y') - 1/2, u x' - 1/2).
+    Substituting x' = L00 x + L01 y + t0 and y' = L10 x + L11 y + t1 gives
+    r = u (1 - L11 - t1) + L11 - L10 - 1/2 + 2 L11 r - 2 L10 c and
+    c = u (L01 + t0) + L00 - L01 - 1/2 - 2 L01 r + 2 L00 c, evaluated in
+    integers over the common denominator of L, t and 1/2.
     """
     lin, tr = m.linear, m.translation
     if lin[0][2] or lin[1][2] or lin[2][0] or lin[2][1] or tr[2]:
@@ -242,28 +252,27 @@ def _cell_transform(m: AffineMap3, res: int) -> tuple[int, int, int, int, int, i
         raise GridSemanticsError(f"z scale {za} is not 2**-j for j >= 0")
     zshift = za.denominator.bit_length() - 1
 
-    def target(r: int, c: int) -> tuple[Fraction, Fraction]:
-        x = Fraction(2 * c + 1, 1 << (res + 1))
-        y = 1 - Fraction(2 * r + 1, 1 << (res + 1))
-        xp, yp, _ = m.apply(x, y, 0)
-        cp = (xp * (1 << (res + 2)) - 1) / 2
-        rp = ((1 - yp) * (1 << (res + 2)) - 1) / 2
-        return rp, cp
-
-    r00, c00 = target(0, 0)
-    r01, c01 = target(0, 1)
-    r10, c10 = target(1, 0)
-    coeffs = (r00, c00, r10 - r00, r01 - r00, c10 - c00, c01 - c00)
-    if any(v.denominator != 1 for v in coeffs):
+    xy = (lin[0][0], lin[0][1], lin[1][0], lin[1][1], tr[0], tr[1])
+    d = math.lcm(2, *(v.denominator for v in xy))
+    l00, l01, l10, l11, t0, t1 = (v.numerator * (d // v.denominator) for v in xy)
+    u = 1 << (res + 1)
+    scaled = (
+        u * (d - l11 - t1) + l11 - l10 - d // 2,
+        u * (l01 + t0) + l00 - l01 - d // 2,
+        2 * l11,
+        -2 * l10,
+        -2 * l01,
+        2 * l00,
+    )
+    if any(v % d for v in scaled):
         raise GridSemanticsError(
             "map does not send dyadic cell centers onto cell centers"
         )
-    r0, c0, drdr, drdc, dcdr, dcdc = (int(v) for v in coeffs)
-    side_out = 1 << (res + 1)
+    r0, c0, drdr, drdc, dcdr, dcdc = (v // d for v in scaled)
     last = (1 << res) - 1
     for r, c in ((0, 0), (0, last), (last, 0), (last, last)):
         tr_, tc_ = r0 + drdr * r + drdc * c, c0 + dcdr * r + dcdc * c
-        if not (0 <= tr_ < side_out and 0 <= tc_ < side_out):
+        if not (0 <= tr_ < u and 0 <= tc_ < u):
             raise GridSemanticsError("map sends cells outside the unit square")
     return r0, c0, drdr, drdc, dcdr, dcdc, zshift
 

@@ -57,20 +57,27 @@ def parse_dyadic(s: str) -> Dyadic:
 Matrix = Union[ChannelMatrix, DyadicMatrix]
 
 
+class _Cells(dict):
+    """Integer entry -> its formatted cell, formatted on the first lookup."""
+
+    def __init__(self, fmt: Callable[[Dyadic], str], exp: int) -> None:
+        super().__init__()
+        self.fmt, self.exp = fmt, exp
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = self.fmt(Dyadic(v, self.exp))
+        return text
+
+
 def matrix_lines(data: DyadicMatrix, fmt: Callable[[Dyadic], str], sep: str) -> Iterator[str]:
     """The rows of a matrix as text: cells formatted by fmt, joined by sep.
 
-    Each distinct entry is formatted once, and rows are read one at a time,
-    so no list of the whole matrix is built.
+    Rows are read one at a time, so no list of the whole matrix is built.
+    Each distinct entry is formatted once, on its first lookup, and each row
+    is mapped through the dict of formatted cells: ``map`` over
+    ``dict.__getitem__`` makes no Python call for a cell already formatted.
     """
-    cells: dict[int, str] = {}  # integer entry -> its cell, one Dyadic per distinct value
-
-    def cell(v: int) -> str:
-        text = cells.get(v)
-        if text is None:
-            text = cells[v] = fmt(Dyadic(v, data.exp))
-        return text
-
+    cell = _Cells(fmt, data.exp).__getitem__
     for row in data.array:
         yield sep.join(map(cell, row.tolist()))
 

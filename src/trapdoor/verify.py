@@ -91,8 +91,7 @@ def _check_inverse_identity(ctx: _Context) -> str:
 def _check_inverse_row_sums(ctx: _Context) -> str:
     for n in range(ctx.max_n + 1):
         for s0 in (0, 1):
-            sums = ctx.inverse(n, s0).row_sums()
-            assert all(s == 1 for s in sums), f"inverse row sums differ from 1 at n={n}"
+            assert ctx.inverse(n, s0).rows_sum_to_one(), f"inverse row sums differ from 1 at n={n}"
     return f"inverse row sums are exactly 1, n <= {ctx.max_n}"
 
 

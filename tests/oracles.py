@@ -4,14 +4,17 @@ Everything here is deliberately naive and Fraction-based: channel matrices
 from the block recursion in plain Fractions, Gauss-Jordan inversion, direct
 entropy sums, a physical simulation of the ball process, and a double-loop
 mutual information, and a PNG decoder.  None of it shares code with the
-package; ``row_dyadics`` only reads a matrix's array and scale.  The packed
+package; ``row_dyadics`` and ``row_sums`` only read a matrix's array and
+scale.  The packed
 big-integer product, the list-backed channel and inversion ladders, the
 list-backed h and w recursions and the depth-first output enumeration are
 the package's former implementations, kept here as references for the
 float64 products, the array-backed ladders and vector recursions and the
 level-wise enumeration.  The Blahut-Arimoto loop that masks the support and
 allocates its temporaries on every iteration is the former optimizer loop,
-kept as the reference for the one that works in preallocated buffers.
+kept as the reference for the one that works in preallocated buffers.  The
+cell action of an affine map, found by applying the map to three cell centres
+in Fractions, is the reference for the closed form in `fractal._cell_transform`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ def row_dyadics(M, i: int) -> list[Dyadic]:
     """Row i of a DyadicMatrix, or of a ChannelMatrix's data, as Dyadics."""
     m = getattr(M, "data", M)
     return [Dyadic(v, m.exp) for v in m.array[i].tolist()]
+
+
+def row_sums(M) -> list[Dyadic]:
+    """The row sums of a DyadicMatrix, or of a ChannelMatrix's data, one Dyadic per row."""
+    m = getattr(M, "data", M)
+    return [Dyadic(sum(row), m.exp) for row in m.array.tolist()]
 
 
 def channel_fractions(n: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
@@ -158,21 +167,60 @@ def output_masses_nonnegative(P: list[list[Fraction]], p: list[Fraction]) -> boo
     return all(sum(p[i] * P[i][j] for i in range(dim)) >= 0 for j in range(dim))
 
 
+def cell_transform_fractions(m, res: int) -> tuple[int, int, int, int, int, int, int]:
+    """The integer cell action of an affine map, res -> res + 1, from three cell centres.
+
+    The former `fractal._cell_transform`: it applies the map to the centres of
+    cells (0, 0), (0, 1) and (1, 0) in Fractions and reads the affine action
+    off their images.  Returns (r0, c0, dr_dr, dr_dc, dc_dr, dc_dc, zshift);
+    raises GridSemanticsError with the package's messages.
+    """
+    from trapdoor.fractal import GridSemanticsError
+
+    lin, tr = m.linear, m.translation
+    if lin[0][2] or lin[1][2] or lin[2][0] or lin[2][1] or tr[2]:
+        raise GridSemanticsError("grid maps must not mix z with x/y or translate z")
+    za = lin[2][2]
+    if za.numerator != 1 or (za.denominator & (za.denominator - 1)):
+        raise GridSemanticsError(f"z scale {za} is not 2**-j for j >= 0")
+    zshift = za.denominator.bit_length() - 1
+
+    def target(r: int, c: int) -> tuple[Fraction, Fraction]:
+        x = Fraction(2 * c + 1, 1 << (res + 1))
+        y = 1 - Fraction(2 * r + 1, 1 << (res + 1))
+        xp, yp, _ = m.apply(x, y, 0)
+        cp = (xp * (1 << (res + 2)) - 1) / 2
+        rp = ((1 - yp) * (1 << (res + 2)) - 1) / 2
+        return rp, cp
+
+    r00, c00 = target(0, 0)
+    r01, c01 = target(0, 1)
+    r10, c10 = target(1, 0)
+    coeffs = (r00, c00, r10 - r00, r01 - r00, c10 - c00, c01 - c00)
+    if any(v.denominator != 1 for v in coeffs):
+        raise GridSemanticsError("map does not send dyadic cell centers onto cell centers")
+    r0, c0, drdr, drdc, dcdr, dcdc = (int(v) for v in coeffs)
+    side_out = 1 << (res + 1)
+    last = (1 << res) - 1
+    for r, c in ((0, 0), (0, last), (last, 0), (last, last)):
+        tr_, tc_ = r0 + drdr * r + drdc * c, c0 + dcdr * r + dcdc * c
+        if not (0 <= tr_ < side_out and 0 <= tc_ < side_out):
+            raise GridSemanticsError("map sends cells outside the unit square")
+    return r0, c0, drdr, drdc, dcdr, dcdc, zshift
+
+
 def ifs_iterate_lists(ifs, codes: list[list[int]], resolution: int, k: int) -> list[list[int]]:
     """The per-cell list loop that `fractal.ifs_iterate` replaced, on raw codes.
 
-    Reuses the package's `_cell_transform` for the integer action of each map
-    (the embedding tests check it against the channel matrices), so this loop
-    checks only how the maps are applied.  Raises ValueError on an overlap or
-    on a height code too fine for its resolution.
+    Takes the integer action of each map from `cell_transform_fractions`, so
+    this loop shares no code with the package's.  Raises ValueError on an
+    overlap or on a height code too fine for its resolution.
     """
-    from trapdoor.fractal import _cell_transform
-
     for _ in range(k):
         side_out = 1 << (resolution + 1)
         target: list[list[int | None]] = [[None] * side_out for _ in range(side_out)]
         for m in ifs.maps:
-            r0, c0, drdr, drdc, dcdr, dcdc, zshift = _cell_transform(m, resolution)
+            r0, c0, drdr, drdc, dcdr, dcdc, zshift = cell_transform_fractions(m, resolution)
             for r, row in enumerate(codes):
                 for c, code in enumerate(row):
                     tr_, tc_ = r0 + drdr * r + drdc * c, c0 + dcdr * r + dcdc * c

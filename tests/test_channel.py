@@ -11,6 +11,7 @@ from oracles import (
     invert_ladder_lists,
     invert_two_step_lists,
     row_dyadics,
+    row_sums,
 )
 from trapdoor.bounds import EntropyVector, entropy_vector_direct, omega_direct
 from trapdoor.channel import (
@@ -115,7 +116,8 @@ def test_inverse_identity_and_row_sums(n, s0, pairs, inverses):
     P = pairs(n)[s0]
     inv = inverses(n, s0)
     assert P.data.product_is_identity(inv)
-    assert all(s == 1 for s in inv.row_sums())
+    assert all(s == 1 for s in row_sums(inv))
+    assert inv.rows_sum_to_one()
 
 
 @pytest.mark.parametrize("n", range(0, 11, 2))
@@ -282,3 +284,19 @@ def test_inverses_of_both_states_view_the_state_zero_inverse(n, s0, pairs, inver
     owner = inv if inv.base is None else inv.base
     assert np.shares_memory(inv, owner)
     assert np.array_equal(owner, inverses(n, 0).array)  # the memory holds P(n, 0)^-1
+
+
+@pytest.mark.parametrize("s0", (0, 1))
+@pytest.mark.parametrize("delta", (-1, 1))
+def test_validate_rejects_a_row_off_by_one_step(s0, delta, pairs):
+    # P(4, s0) at scale 2**4 has entries 0, 1, 2, 4, 8, 16; a row off by 2**-4
+    # keeps every entry a power of two (1 -> 2 or 0 -> 1, 2 -> 1)
+    P = pairs(4)[s0]
+    bad = P.data.array.copy()
+    row = bad[9]
+    col = int(np.flatnonzero(row == (0 if delta > 0 else 2))[0])
+    row[col] += delta
+    Q = ChannelMatrix(4, s0, DyadicMatrix(bad, P.data.exp))
+    with pytest.raises(ValueError, match="row does not sum to exactly 1"):
+        Q.validate()
+    P.validate()

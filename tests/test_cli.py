@@ -1,10 +1,12 @@
 import json
+import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from trapdoor import bounds, enumeration, fractal, optimize, verify
+from trapdoor import bounds, cli, enumeration, fractal, optimize, verify
 from trapdoor.channel import ChannelMatrix
 from trapdoor.cli import main
 from trapdoor.dyadic import Dyadic
@@ -217,6 +219,24 @@ def test_inverse_blocks_catch_one_changed_lower_left_entry(monkeypatch, delta):
     assert result.detail == "P(n,0)^-1 block (1, 0) differs from -A P(n-1,1) A at n=3"
 
 
+@pytest.mark.parametrize(("n", "s0", "delta"), ((3, 0, 1), (3, 1, -1), (4, 0, 2)))
+def test_inverse_row_sums_catch_one_changed_entry(monkeypatch, n, s0, delta):
+    real = verify._Context.inverse
+
+    def changed(self, m, s):
+        inv = real(self, m, s)
+        if (m, s) != (n, s0):
+            return inv
+        a = inv.array.copy()
+        a[5, 2] += delta
+        return DyadicMatrix(a, inv.exp)
+
+    monkeypatch.setattr(verify._Context, "inverse", changed)
+    [result] = verify.run_checks(5, ["inverse row sums"])
+    assert not result.ok
+    assert result.detail == f"inverse row sums differ from 1 at n={n}"
+
+
 def test_out_of_memory_is_usage_error(monkeypatch, capsys):
     def no_memory(*args, **kwargs):
         raise MemoryError
@@ -376,3 +396,51 @@ def test_png_decodes_to_pgm_pixels(tmp_path, capsys, command):
         data = pgm.read_bytes()
         assert data.startswith(header)
         assert decode_png(png.read_bytes()) == (side, side, data[len(header) :])
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+def _outcome(argv, capsys, directory):
+    """(exit code, stdout, stderr, files written) of one in-process call run in directory."""
+    directory.mkdir()
+    cwd = Path.cwd()
+    os.chdir(directory)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse exits on a usage error
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    out = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in directory.iterdir()}
+    return code, out.out, out.err, files
+
+
+@pytest.mark.parametrize(
+    ("first", "second"),
+    (
+        (("matrix", "-n", "2", "-o", "m.txt"), ("matrix", "-n", "2")),
+        (("matrix", "-n", "2", "-s", "1"), ("matrix", "-n", "2")),
+        (("matrix", "-n", "2", "--inverse", "--format", "csv"), ("matrix", "-n", "2")),
+        (("bound", "-n", "3", "-s", "1", "--format", "json", "-o", "b.json"), ("bound", "-n", "3")),
+        (("enumerate", "-i", "0110", "-s", "1", "--format", "json"), ("enumerate", "-i", "0110")),
+        (("fractal", "--resolution", "2", "-s", "1", "--format", "png"), ("fractal", "--resolution", "2")),
+        (("sierpinski", "--resolution", "2", "-o", "s.png"), ("sierpinski", "--resolution", "2")),
+        (("matrix", "-n", "x"), ("bound", "-n", "2")),
+        (("matrix", "-n", "2", "--format", "json"), ("matrix", "-n", "2")),
+        (("bogus",), ("enumerate", "-i", "01")),
+        (("bound", "-n", "-1"), ("bound", "-n", "2", "--format", "json")),
+    ),
+    ids=("o", "s", "inverse-format", "bound-all", "enumerate", "fractal", "sierpinski",
+         "usage-type", "usage-choice", "usage-command", "usage-value"),
+)
+def test_a_call_after_another_equals_the_call_alone(capsys, tmp_path, first, second):
+    cli._build_parser.cache_clear()
+    alone = _outcome(second, capsys, tmp_path / "alone")
+    cli._build_parser.cache_clear()
+    before = _outcome(first, capsys, tmp_path / "first")
+    after = _outcome(second, capsys, tmp_path / "after")
+    assert after == alone
+    assert before[0] != 0 or before[1:] != alone[1:]  # the first call differs from the second
+    assert cli._build_parser.cache_info().misses == 1  # both calls used one parser

@@ -234,3 +234,33 @@ def test_render_deterministic(pairs):
     g = rho_representation(pairs(6)[0])
     for mode in ("linear", "log", "binary"):
         assert render_pgm(g, mode, 0.7) == render_pgm(g, mode, 0.7)
+
+
+# -- exact coefficients ---------------------------------------------------------
+
+
+_IDENTITY_ROWS = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("bad", ("1/2", 0.5, 0.1, None, True, False, 1j), ids=repr)
+def test_affine_maps_take_exact_rationals_only(bad):
+    with pytest.raises(ValueError, match="map translation must be an exact rational"):
+        AffineMap3.from_rows(_IDENTITY_ROWS, [bad, 0, 0])
+    rows = [[1, 0, 0], [0, bad, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match="map coefficient must be an exact rational"):
+        AffineMap3.from_rows(rows, [0, 0, 0])
+    m = AffineMap3.from_rows(_IDENTITY_ROWS, [0, 0, 0])
+    with pytest.raises(ValueError, match="point coordinate must be an exact rational"):
+        m.apply(0, bad, 0)
+
+
+def test_affine_maps_keep_int_fraction_and_dyadic_values():
+    h = Fraction(1, 2)
+    m = AffineMap3.from_rows([[h, 0, 0], [0, Dyadic(1, 1), 0], [0, 0, 1]], [h, 0, Dyadic(3, 2)])
+    assert m.linear == ((h, 0, 0), (0, h, 0), (0, 0, 1))
+    assert m.translation == (h, 0, Fraction(3, 4))
+    assert all(type(v) is Fraction for row in m.linear for v in row)
+    assert m.apply(Dyadic(1, 1), 1, Fraction(1, 3)) == (Fraction(3, 4), h, Fraction(13, 12))
+    phi1 = trapdoor_ifs(0).maps[0]
+    assert phi1.linear == ((h, 0, 0), (0, h, 0), (0, 0, h)) and phi1.translation == (h, 0, 0)
+    assert sierpinski_ifs().maps[2].translation == (0, 0, 0)

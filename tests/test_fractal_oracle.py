@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import ifs_iterate_lists, render_pgm_lists
+from hypothesis import given, settings, strategies as st
+
+from oracles import cell_transform_fractions, ifs_iterate_lists, render_pgm_lists
 from trapdoor import fractal
 from trapdoor.channel import ChannelMatrix
 from trapdoor.fractal import (
@@ -48,6 +50,65 @@ def random_grid(resolution, seed):
 
 def overlap_cell(message):
     return re.search(r"output cell \((\d+), (\d+)\)", message).groups()
+
+
+# The maps of the GridSemanticsError cases in test_fractal.py and this file,
+# and one map for each message of _cell_transform.
+ERROR_MAPS = {
+    "same": AffineMap3.from_rows([[h, 0, 0], [0, h, 0], [0, 0, 1]], [0, 0, 0]),
+    "quarter": AffineMap3.from_rows([[0, -h, 0], [h, 0, 0], [0, 0, 1]], [h, 0, 0]),
+    "collapse": AffineMap3.from_rows([[h, 0, 0], [h, 0, 0], [0, 0, 1]], [0, 0, 0]),
+    "third": AffineMap3.from_rows([[Fraction(1, 3), 0, 0], [0, Fraction(1, 3), 0], [0, 0, 1]], [0, 0, 0]),
+    "mix": AffineMap3.from_rows([[h, 0, h], [0, h, 0], [0, 0, 1]], [0, 0, 0]),
+    "translate_z": AffineMap3.from_rows([[h, 0, 0], [0, h, 0], [0, 0, 1]], [0, 0, h]),
+    "z_three_quarters": AffineMap3.from_rows([[h, 0, 0], [0, h, 0], [0, 0, Fraction(3, 4)]], [0, 0, 0]),
+    "z_double": AffineMap3.from_rows([[h, 0, 0], [0, h, 0], [0, 0, 2]], [0, 0, 0]),
+    "quarter_z": AffineMap3.from_rows([[h, 0, 0], [0, h, 0], [0, 0, Fraction(1, 4)]], [0, 0, 0]),
+    "tiny_z": AffineMap3.from_rows([[h, 0, 0], [0, h, 0], [0, 0, Fraction(1, 2**200)]], [0, 0, 0]),
+    "outside": AffineMap3.from_rows([[h, 0, 0], [0, h, 0], [0, 0, 1]], [1, 0, 0]),
+    "quarter_offset": AffineMap3.from_rows([[Fraction(1, 4), 0, 0], [0, h, 0], [0, 0, 1]], [0, 0, 0]),
+    # a shift by 1/8 is a whole cell of the output from resolution 2 on
+    "shift_eighth": AffineMap3.from_rows([[h, 0, 0], [0, h, 0], [0, 0, 1]], [Fraction(1, 8), 0, 0]),
+}
+
+
+def _cell_outcome(transform, m, res):
+    try:
+        return transform(m, res)
+    except GridSemanticsError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("res", range(14))
+def test_cell_transform_matches_the_fraction_reference(res):
+    maps = [m for ifs in (*SYSTEMS.values(), DIHEDRAL_TILING) for m in ifs.maps]
+    for m in maps + list(ERROR_MAPS.values()):
+        assert _cell_outcome(_cell_transform, m, res) == _cell_outcome(cell_transform_fractions, m, res)
+    for m in maps:
+        assert isinstance(_cell_transform(m, res), tuple)  # the systems act on every grid
+    messages = {_cell_outcome(_cell_transform, m, res) for m in ERROR_MAPS.values()}
+    assert {
+        "grid maps must not mix z with x/y or translate z",
+        "z scale 3/4 is not 2**-j for j >= 0",
+        "z scale 2 is not 2**-j for j >= 0",
+        "map sends cells outside the unit square",
+        "map does not send dyadic cell centers onto cell centers",
+    } <= messages
+
+
+_COEFF = st.sampled_from([Fraction(k, 4) for k in range(-4, 5)] + [Fraction(1, 3), Fraction(-3, 8)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    xy=st.lists(_COEFF, min_size=4, max_size=4),
+    shift=st.lists(_COEFF, min_size=2, max_size=2),
+    z=st.sampled_from([Fraction(1), h, Fraction(1, 4), Fraction(3, 4)]),
+    res=st.integers(0, 13),
+)
+def test_cell_transform_of_random_maps_matches_the_fraction_reference(xy, shift, z, res):
+    m = AffineMap3.from_rows([[xy[0], xy[1], 0], [xy[2], xy[3], 0], [0, 0, z]], [*shift, 0])
+    assert _cell_outcome(_cell_transform, m, res) == _cell_outcome(cell_transform_fractions, m, res)
 
 
 # -- ifs_iterate --------------------------------------------------------------

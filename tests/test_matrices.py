@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import _pack_rows, _unpack_row, row_dyadics
+from oracles import _pack_rows, _unpack_row, row_dyadics, row_sums
 from trapdoor.channel import build_channel_matrix, exchange_conjugate, invert_channel_matrix
 from trapdoor.dyadic import Dyadic
 from trapdoor import matrices
@@ -84,7 +84,9 @@ def test_entry_and_rows():
     m = DyadicMatrix([[1, 0], [1, 2]], 1)
     assert Dyadic(int(m.array[1, 0]), m.exp) == Dyadic(1, 1)
     assert row_dyadics(m, 1) == [Dyadic(1, 1), Dyadic(1, 0)]
-    assert m.row_sums() == [Dyadic(1, 1), Dyadic(3, 1)]
+    assert row_sums(m) == [Dyadic(1, 1), Dyadic(3, 1)]
+    assert not m.rows_sum_to_one()
+    assert DyadicMatrix([[1, 1], [0, 2]], 1).rows_sum_to_one()
 
 
 def test_exchange_conjugate_involutive():
@@ -327,8 +329,9 @@ def test_public_results_are_python_types():
     inv = DyadicMatrix([[1, 0], [-1, 2]], 0)
     assert m.product_is_identity(inv) is True
     assert m.product_equals(inv, DyadicMatrix([[1, 1], [0, 1]], 0)) is False
-    values = m.matvec([Dyadic(1), Dyadic(1, 1)]) + m.row_sums() + row_dyadics(m, 1)
+    values = m.matvec([Dyadic(1), Dyadic(1, 1)]) + row_dyadics(m, 1)
     assert all(type(d.num) is int for d in values)
+    assert m.rows_sum_to_one() is True
 
 
 def test_right_factor_is_cut_once_when_later_row_blocks_have_larger_sums(monkeypatch):
@@ -351,3 +354,53 @@ def test_right_factor_is_cut_once_when_later_row_blocks_have_larger_sums(monkeyp
     want = [[sum(int(p) * int(q) for p, q in zip(row, col)) for col in b.T] for row in a]
     assert exact_product(a, b).tolist() == want
     assert len(cuts) == 1
+
+
+@pytest.mark.parametrize("rows", ([[1, 2], [3]], [[1], [2, 3]], [[1, 2, 3], [4, 5, 6]], [1, 2], [[[1]]]))
+def test_a_matrix_that_is_not_square_says_so(rows):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        DyadicMatrix(rows)
+
+
+@pytest.mark.parametrize("edge", [1 << 63, 1 << 70, -(1 << 80)])
+def test_rows_sum_to_one_past_int64(edge):
+    assert DyadicMatrix([[edge, 1 - edge], [0, 1]], 0).rows_sum_to_one()
+    assert not DyadicMatrix([[edge, 2 - edge], [0, 1]], 0).rows_sum_to_one()
+    assert DyadicMatrix([[edge, (1 << 64) - edge], [0, 1 << 64]], 64).rows_sum_to_one()
+    assert not DyadicMatrix([[1 << 63, 1 << 63], [0, 1 << 64]], 70).rows_sum_to_one()
+
+
+@pytest.mark.parametrize("n", (8, 9))
+def test_identity_check_reads_a_changed_zero_of_the_right_factor(n):
+    # P(n,0)^-1 is lower triangular; a non-zero entry put above its diagonal
+    # widens the column span of its row, so the product still sees it
+    P = build_channel_matrix(n, 0)
+    inv = invert_channel_matrix(P)
+    assert P.data.product_is_identity(inv)
+    e = P.data.exp + inv.exp
+    for row, col in ((0, P.dim - 1), (P.dim // 2 - 1, P.dim // 2), (130, 200)):
+        bad = inv.array.copy()
+        assert bad[row, col] == 0
+        bad[row, col] = 1
+        assert not P.data.product_is_identity(DyadicMatrix(bad, inv.exp)), (row, col)
+        # P @ bad = P @ inv + P @ (the one new entry) = 2**e I + column row of P, at column col
+        want = np.eye(P.dim, dtype=np.int64) << e
+        want[:, col] += P.data.array[:, row]
+        assert np.array_equal(P.data.matmul(DyadicMatrix(bad, inv.exp)).with_exp(e).array, want)
+
+
+def test_block_products_skip_the_zero_columns_of_the_right_factor(monkeypatch):
+    # P(10, 0) and its inverse are lower block triangular, so each row block
+    # multiplies only part of the columns, and the product is still exact
+    P = build_channel_matrix(10, 0)
+    inv = invert_channel_matrix(P)
+    widths = []
+    real = matrices._block_product
+
+    def recorded(a, ra, mb, b_limbs, b_width, out):
+        widths.append(out.shape[1])
+        real(a, ra, mb, b_limbs, b_width, out)
+
+    monkeypatch.setattr(matrices, "_block_product", recorded)
+    assert P.data.product_is_identity(inv)
+    assert len(widths) == 8 and max(widths) == P.dim and min(widths) <= P.dim // 2
