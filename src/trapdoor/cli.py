@@ -12,7 +12,6 @@ own block recursion and the exchange symmetries of h and w.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -29,13 +28,7 @@ INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 _IMAGE_NAMES = {"fractal": "trapdoor_s{s}_k{resolution}", "sierpinski": "sierpinski_k{resolution}"}
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every later call.
-
-    parse_args keeps no state between calls: each call starts a fresh
-    namespace from the declared defaults.
-    """
     parser = argparse.ArgumentParser(
         prog="trapdoor",
         description=(

@@ -3,11 +3,10 @@
 Each rule lives here once and every entry point calls it.  No integer input
 (a length, count, side or exponent, or an entry of an exact array) is made
 from a float, a string, a Fraction or None, and no exact rational (a
-coefficient of an affine map, or a point it acts on) from a float, a
-string, a bool or None.  A cap bounds a length by what it costs where the
-memory is allocated (4**n entries for a dense matrix or fractal grid, 2**n
-for a weight vector or an enumeration support) and can be overridden
-through an environment variable.
+coefficient of an affine map) from a float, a string, a bool or None.  A
+cap bounds a length by what it costs where the memory is allocated (4**n
+entries for a dense matrix or fractal grid, 2**n for a weight vector or an
+enumeration support) and can be overridden through an environment variable.
 """
 
 from __future__ import annotations

@@ -20,8 +20,7 @@ other ball s all branch: with x appended they keep s in the box, with s
 appended they leave x, and both carry one more halving.  So one input bit
 costs four list comprehensions over the frontier instead of one Python
 call per path, and at the end each prefix is a feasible output of
-likelihood 2**-halvings, with one shared Dyadic per number of halvings,
-built once per process.
+likelihood 2**-halvings, with one shared Dyadic per number of halvings.
 Expanding the result to a dense vector reproduces one row of the channel
 matrix, which the test suite checks exhaustively; the former depth-first
 recursion is kept in the tests as the reference.
@@ -29,7 +28,6 @@ recursion is kept in the tests as the reference.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -79,12 +77,6 @@ class OutputDistribution:
         }
 
 
-@functools.cache
-def _half_power(h: int) -> Dyadic:
-    """The likelihood 2**-h, one shared Dyadic per h for every call (Dyadics are immutable)."""
-    return Dyadic(1, h)
-
-
 def generate_outputs(bits: str, s0: int) -> OutputDistribution:
     """All feasible outputs for the given input string and initial state.
 
@@ -114,7 +106,7 @@ def generate_outputs(bits: str, s0: int) -> OutputDistribution:
     (outputs, halvings), (more, h_more) = frontier["0"], frontier["1"]
     outputs += more
     halvings += h_more
-    likelihood = {h: _half_power(h) for h in set(halvings)}
+    likelihood = {h: Dyadic(1, h) for h in set(halvings)}
     acc = dict(zip(outputs, map(likelihood.__getitem__, halvings)))
     # distinctness of outputs across paths is provable; comparing the merged
     # keys with the path count turns that proof into a runtime check

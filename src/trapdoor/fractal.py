@@ -61,15 +61,6 @@ class AffineMap3:
             raise ValueError("need a 3x3 linear part and a length-3 translation")
         return cls(lin, tr)  # type: ignore[arg-type]
 
-    def apply(self, x, y, z) -> tuple[Fraction, Fraction, Fraction]:
-        x, y, z = (config.rational(v, "point coordinate") for v in (x, y, z))
-        lin, tr = self.linear, self.translation
-        return (
-            lin[0][0] * x + lin[0][1] * y + lin[0][2] * z + tr[0],
-            lin[1][0] * x + lin[1][1] * y + lin[1][2] * z + tr[1],
-            lin[2][0] * x + lin[2][1] * y + lin[2][2] * z + tr[2],
-        )
-
     def xy_contraction_factor(self) -> float:
         """Spectral norm of the 2x2 xy block."""
         a, b = float(self.linear[0][0]), float(self.linear[0][1])

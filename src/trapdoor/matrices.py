@@ -22,9 +22,8 @@ in Python ints once the bound on the result leaves int64.  The left factor
 is converted one block of rows at a time, so no float copy of it is ever
 whole; the right factor is cut once, for the largest row sum of them all.
 Each block of rows is multiplied only over the span of columns that holds its
-non-zero entries, against the same rows of the right factor, and those rows
-only over the union of their non-zero column spans: the entries left out are
-zero, so block triangular factors skip their zero blocks on both sides.  A
+non-zero entries, against the same rows of the right factor: the entries left
+out are zero, so block triangular factors skip their zero blocks.  A
 matrix-vector product is the same product with one column.
 """
 
@@ -132,74 +131,56 @@ def _block_stats(a: np.ndarray) -> list[tuple[int, int, int]]:
     return out
 
 
-def _column_spans(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, end): the non-zero entries of row i of b lie in columns
-    [first[i], end[i]); an all-zero row takes every column.  Rows are scanned
-    _BLOCK_ROWS at a time, so the mask of non-zero entries is never whole."""
-    rows, cols = b.shape
-    first, end = np.zeros(rows, dtype=np.intp), np.full(rows, cols, dtype=np.intp)
-    for k in range(0, rows if cols else 0, _BLOCK_ROWS):
-        nz = b[k : k + _BLOCK_ROWS] != 0
-        first[k : k + _BLOCK_ROWS] = nz.argmax(axis=1)
-        end[k : k + _BLOCK_ROWS] -= nz[:, ::-1].argmax(axis=1)
-    return first, end
+def _block_product(a: np.ndarray, ra: int, mb: int, b_limbs: list, b_width: int, lo: int) -> np.ndarray:
+    """a @ b[lo : lo + a.shape[1]] exactly, as int64, or as an object array of
+    Python ints past int64, from b's (float64 limb, max |limb|) pairs in base 2**b_width.
 
-
-def _block_product(a: np.ndarray, ra: int, mb: int, b_limbs: list, b_width: int, out: np.ndarray) -> None:
-    """Write a @ b exactly into out, an int64 array of zeros, or an object array
-    of zeros when the product may leave int64, from b's (float64 limb, bound on
-    |limb|) pairs in base 2**b_width.
-
-    ra is the max row sum of |a| and mb a bound on |b|.  Every float64 product runs only
-    after its bound check: max row sum of |a limb| times max |b limb| must stay below 2**53.
+    ra is the max row sum of |a| and mb the max |b|.  Every float64 product runs only after
+    its bound check: max row sum of |a limb| times max |b limb| must stay below 2**53.
     """
     if ra == 0 or mb == 0:
-        return
+        return np.zeros((a.shape[0], b_limbs[0][0].shape[1]), dtype=np.int64)
+    hi = lo + a.shape[1]
     if ra.bit_length() <= _ROW_SUM_BITS:
         a_width, a_limbs = 0, [(a.astype(np.float64), ra)]
     else:
         # limb row sums stay below inner * 2**a_width <= 2**_ROW_SUM_BITS
         a_width = max(1, _ROW_SUM_BITS - a.shape[1].bit_length())
         a_limbs = [(v.astype(np.float64), int(_abs_sums(v, 1, False).max())) for v in _limbs(a, a_width)]
+    wide = ra * mb >= _INT64_LIMIT  # |any partial sum of shifted limb products| <= ra * mb
+    acc = None
     for s, (a_f, a_sum) in enumerate(a_limbs):
         for t, (b_f, b_max) in enumerate(b_limbs):
             if a_sum * b_max >= _FLOAT_EXACT:
                 raise ArithmeticError("a float64 limb product could round")
-            part = a_f @ b_f  # every entry an integer below 2**53, so exact
-            if s == t == 0 and out.dtype != object:
-                out[...] = part  # the first term, unshifted
-                continue
-            part = part.astype(np.int64).astype(out.dtype, copy=False)
+            part = (a_f @ b_f[lo:hi]).astype(np.int64)
+            if wide:
+                part = part.astype(object)
             shift = s * a_width + t * b_width
             if shift:
                 part <<= shift
-            out += part
+            if acc is None:
+                acc = part
+            else:
+                acc += part
+    return acc
 
 
 def _row_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Exact products with b of a's rows, _BLOCK_ROWS at a time, each with its first row index.
 
-    Each block is multiplied only over the column span [lo, hi) that holds its
-    non-zero entries, with rows lo:hi of b, and those rows only over the union
-    of their own non-zero column spans; the entries left out are zero, and the
-    block product is written at its column offset into a row block of zeros.
-    Every block's limbs have row sums below 2**_ROW_SUM_BITS, and below the
-    largest row sum of |a|, so limbs of b cut once for that bound serve all blocks.
+    Each block is multiplied only over the column span that holds its non-zero
+    entries, with the same rows of b; the entries left out are zero.  Every
+    block's limbs have row sums below 2**_ROW_SUM_BITS, and below the largest
+    row sum of |a|, so limbs of b cut once for that bound serve all blocks.
     """
     stats = _block_stats(a)
     bits = min(max((ra for ra, _, _ in stats), default=0).bit_length(), _ROW_SUM_BITS)
     mb = max_abs(b)
     width = max(1, min(53 - bits, mb.bit_length()))
     b_limbs = [(v.astype(np.float64), max_abs(v)) for v in _limbs(b, width)]
-    first, end = _column_spans(b)
     for start, (ra, lo, hi) in zip(range(0, len(a), _BLOCK_ROWS), stats):
-        c_lo, c_hi = (int(first[lo:hi].min()), int(end[lo:hi].max())) if hi > lo else (0, 0)
-        # |any partial sum of shifted limb products| <= ra * mb
-        wide = ra * mb >= _INT64_LIMIT
-        block = np.zeros((min(_BLOCK_ROWS, len(a) - start), b.shape[1]), dtype=object if wide else np.int64)
-        limbs = [(v[lo:hi, c_lo:c_hi], top) for v, top in b_limbs]
-        _block_product(a[start : start + _BLOCK_ROWS, lo:hi], ra, mb, limbs, width, block[:, c_lo:c_hi])
-        yield start, block
+        yield start, _block_product(a[start : start + _BLOCK_ROWS, lo:hi], ra, mb, b_limbs, width, lo)
 
 
 def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -167,6 +167,12 @@ def output_masses_nonnegative(P: list[list[Fraction]], p: list[Fraction]) -> boo
     return all(sum(p[i] * P[i][j] for i in range(dim)) >= 0 for j in range(dim))
 
 
+def apply_map(m, x, y, z) -> tuple[Fraction, Fraction, Fraction]:
+    """The image of the point (x, y, z) under an AffineMap3, in Fractions."""
+    lin, tr = m.linear, m.translation
+    return tuple(row[0] * x + row[1] * y + row[2] * z + t for row, t in zip(lin, tr))
+
+
 def cell_transform_fractions(m, res: int) -> tuple[int, int, int, int, int, int, int]:
     """The integer cell action of an affine map, res -> res + 1, from three cell centres.
 
@@ -188,7 +194,7 @@ def cell_transform_fractions(m, res: int) -> tuple[int, int, int, int, int, int,
     def target(r: int, c: int) -> tuple[Fraction, Fraction]:
         x = Fraction(2 * c + 1, 1 << (res + 1))
         y = 1 - Fraction(2 * r + 1, 1 << (res + 1))
-        xp, yp, _ = m.apply(x, y, 0)
+        xp, yp, _ = apply_map(m, x, y, 0)
         cp = (xp * (1 << (res + 2)) - 1) / 2
         rp = ((1 - yp) * (1 << (res + 2)) - 1) / 2
         return rp, cp

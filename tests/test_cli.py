@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from trapdoor import bounds, cli, enumeration, fractal, optimize, verify
+from trapdoor import bounds, enumeration, fractal, optimize, verify
 from trapdoor.channel import ChannelMatrix
 from trapdoor.cli import main
 from trapdoor.dyadic import Dyadic
@@ -398,7 +398,7 @@ def test_png_decodes_to_pgm_pixels(tmp_path, capsys, command):
         assert decode_png(png.read_bytes()) == (side, side, data[len(header) :])
 
 
-# -- one parser per process ----------------------------------------------------
+# -- consecutive in-process calls ----------------------------------------------
 
 
 def _outcome(argv, capsys, directory):
@@ -436,11 +436,8 @@ def _outcome(argv, capsys, directory):
          "usage-type", "usage-choice", "usage-command", "usage-value"),
 )
 def test_a_call_after_another_equals_the_call_alone(capsys, tmp_path, first, second):
-    cli._build_parser.cache_clear()
     alone = _outcome(second, capsys, tmp_path / "alone")
-    cli._build_parser.cache_clear()
     before = _outcome(first, capsys, tmp_path / "first")
     after = _outcome(second, capsys, tmp_path / "after")
     assert after == alone
     assert before[0] != 0 or before[1:] != alone[1:]  # the first call differs from the second
-    assert cli._build_parser.cache_info().misses == 1  # both calls used one parser

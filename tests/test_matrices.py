@@ -373,7 +373,7 @@ def test_rows_sum_to_one_past_int64(edge):
 @pytest.mark.parametrize("n", (8, 9))
 def test_identity_check_reads_a_changed_zero_of_the_right_factor(n):
     # P(n,0)^-1 is lower triangular; a non-zero entry put above its diagonal
-    # widens the column span of its row, so the product still sees it
+    # must still reach the product, whatever zero spans the block products skip
     P = build_channel_matrix(n, 0)
     inv = invert_channel_matrix(P)
     assert P.data.product_is_identity(inv)
@@ -388,19 +388,3 @@ def test_identity_check_reads_a_changed_zero_of_the_right_factor(n):
         want[:, col] += P.data.array[:, row]
         assert np.array_equal(P.data.matmul(DyadicMatrix(bad, inv.exp)).with_exp(e).array, want)
 
-
-def test_block_products_skip_the_zero_columns_of_the_right_factor(monkeypatch):
-    # P(10, 0) and its inverse are lower block triangular, so each row block
-    # multiplies only part of the columns, and the product is still exact
-    P = build_channel_matrix(10, 0)
-    inv = invert_channel_matrix(P)
-    widths = []
-    real = matrices._block_product
-
-    def recorded(a, ra, mb, b_limbs, b_width, out):
-        widths.append(out.shape[1])
-        real(a, ra, mb, b_limbs, b_width, out)
-
-    monkeypatch.setattr(matrices, "_block_product", recorded)
-    assert P.data.product_is_identity(inv)
-    assert len(widths) == 8 and max(widths) == P.dim and min(widths) <= P.dim // 2
