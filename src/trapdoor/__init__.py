@@ -43,7 +43,6 @@ from .channel import (
 from .dyadic import Dyadic
 from .enumeration import (
     OutputDistribution,
-    channel_row_from_enumeration,
     feasibility,
     generate_outputs,
 )

@@ -21,9 +21,9 @@ appended they leave x, and both carry one more halving.  So one input bit
 costs four list comprehensions over the frontier instead of one Python
 call per path, and at the end each prefix is a feasible output of
 likelihood 2**-halvings, with one shared Dyadic per number of halvings.
-Expanding the result to a dense vector reproduces one row of the channel
-matrix, which the test suite checks exhaustively; the former depth-first
-recursion is kept in the tests as the reference.
+Indexed by output, the likelihoods are one row of the channel matrix, which
+verify and the tests check exhaustively; the former depth-first recursion is
+kept in the tests as the reference.
 """
 
 from __future__ import annotations
@@ -116,20 +116,6 @@ def generate_outputs(bits: str, s0: int) -> OutputDistribution:
             "outputs are expected to be pairwise distinct"
         )
     return OutputDistribution(bits, s0, acc)
-
-
-def channel_row_from_enumeration(n: int, s0: int, bits: str) -> list[Dyadic]:
-    """Dense length-2**n row of output likelihoods, column j = bit string of j.
-
-    Equals the corresponding row of the channel matrix built by the block
-    recursion (cross-checked exhaustively in the tests).
-    """
-    config.check_bits(bits, "input", config.integer(n, "block length"))
-    dist = generate_outputs(bits, s0)
-    row = [Dyadic(0)] * (1 << n)
-    for y, p in dist.outputs.items():
-        row[int(y, 2)] = p
-    return row
 
 
 def feasibility(bits: str, output: str, s0: int) -> Dyadic:

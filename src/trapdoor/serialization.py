@@ -143,11 +143,9 @@ def read_matrix_csv(path: Union[str, Path]) -> Matrix:
     exp = max((d.exp for d in parsed.values()), default=0)
     values = config.integer_array([d.num << (exp - d.exp) for d in parsed.values()], "matrix entries")
     index = {c: i for i, c in enumerate(parsed)}  # each cell as the index of its value
-    data = DyadicMatrix(values[np.array([[index[c] for c in cells] for cells in rows], dtype=np.intp)], exp)
-    if s0_raw == "general":
-        return data
     try:
-        return check_channel_data(ChannelMatrix(n, int(s0_raw), data))
+        data = DyadicMatrix(values[np.array([[index[c] for c in cells] for cells in rows], dtype=np.intp)], exp)
+        return data if s0_raw == "general" else check_channel_data(ChannelMatrix(n, int(s0_raw), data))
     except ValueError as exc:
         raise ValueError(f"{p}: {exc}") from None
 

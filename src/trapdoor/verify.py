@@ -173,17 +173,13 @@ def _check_bound_identities(ctx: _Context) -> str:
     top = min(20, config.cap(config.BOUND_CAP_ENV))  # the weight vectors have 2^n entries
     prev = 0.0
     for n in range(1, top + 1):
-        m = (n + 1) // 2
-        s = bounds.exp2_sum(bounds.omega_recursive(n).array)
-        assert s == Dyadic(5**m, m + n % 2), f"sum 2^w differs from the closed form at n={n}"
+        b = bounds.upper_bound(n, include_d=False)  # this check reads S and c_up only
+        assert b.S == bounds.closed_form_S(n), f"sum 2^w differs from the closed form at n={n}"
+        assert abs(b.c_up - bounds.closed_form(n)) < 1e-14, f"c_up differs from the closed form at n={n}"
         if n % 2:
             c_odd = bounds.closed_form(n)
             assert prev < c_odd < bounds.closed_form(2), "odd bounds must increase toward the even value"
             prev = c_odd
-    for n in range(1, min(ctx.max_n, top) + 1):
-        b = bounds.upper_bound(n, include_d=False)  # this check reads S and c_up only
-        assert b.S == bounds.closed_form_S(n), f"recursive S differs at n={n}"
-        assert abs(b.c_up - bounds.closed_form(n)) < 1e-14
     return f"sum 2^w equals (5/2)^m even / (5/4)(5/2)^(m-1) odd, n <= {top}; bounds match closed form"
 
 

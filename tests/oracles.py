@@ -4,8 +4,10 @@ Everything here is deliberately naive and Fraction-based: channel matrices
 from the block recursion in plain Fractions, Gauss-Jordan inversion, direct
 entropy sums, a physical simulation of the ball process, and a double-loop
 mutual information, and a PNG decoder.  None of it shares code with the
-package; ``row_dyadics`` and ``row_sums`` only read a matrix's array and
-scale.  The packed
+package, except that ``row_dyadics`` and ``row_sums`` read a matrix's array
+and scale, and ``channel_row_from_enumeration`` expands the package's
+``generate_outputs`` into a dense row, through the package's input checks,
+so that enumeration can be compared with matrix rows.  The packed
 big-integer product, the list-backed channel and inversion ladders, the
 list-backed h and w recursions and the depth-first output enumeration are
 the package's former implementations, kept here as references for the
@@ -25,7 +27,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from trapdoor import config
 from trapdoor.dyadic import Dyadic
+from trapdoor.enumeration import generate_outputs
 
 
 def row_dyadics(M, i: int) -> list[Dyadic]:
@@ -474,6 +478,20 @@ def generate_outputs_dfs(bits: str, s0: int) -> dict:
 
     walk(0, [], str(s0), 0)
     return acc
+
+
+def channel_row_from_enumeration(n: int, s0: int, bits: str) -> list[Dyadic]:
+    """Dense length-2**n row of output likelihoods, column j = bit string of j.
+
+    Equals the corresponding row of the channel matrix built by the block
+    recursion (cross-checked exhaustively in the tests).
+    """
+    config.check_bits(bits, "input", config.integer(n, "block length"))
+    dist = generate_outputs(bits, s0)
+    row = [Dyadic(0)] * (1 << n)
+    for y, p in dist.outputs.items():
+        row[int(y, 2)] = p
+    return row
 
 
 def decode_png(data: bytes) -> tuple[int, int, bytes]:

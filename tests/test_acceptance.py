@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from acceptance_report import criterion
-from oracles import row_dyadics, row_sums
+from oracles import channel_row_from_enumeration, row_dyadics, row_sums
 
 from trapdoor.bounds import (
     closed_form,
@@ -38,7 +38,7 @@ from trapdoor.channel import (
     invert_two_step,
 )
 from trapdoor.dyadic import Dyadic
-from trapdoor.enumeration import channel_row_from_enumeration, generate_outputs
+from trapdoor.enumeration import generate_outputs
 from trapdoor.fractal import (
     ifs_iterate,
     render_pgm,

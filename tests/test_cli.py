@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -235,6 +236,26 @@ def test_inverse_row_sums_catch_one_changed_entry(monkeypatch, n, s0, delta):
     [result] = verify.run_checks(5, ["inverse row sums"])
     assert not result.ok
     assert result.detail == f"inverse row sums differ from 1 at n={n}"
+
+
+@pytest.mark.parametrize(
+    ("field", "delta", "message"),
+    (("S", Dyadic(1, 40), "sum 2^w differs"), ("c_up", 1e-13, "c_up differs")),
+    ids=("S", "c_up"),
+)
+@pytest.mark.parametrize("bad", (3, 11, 20))
+def test_bound_identities_name_the_length_of_a_wrong_bound(monkeypatch, bad, field, delta, message):
+    # the check runs to n = 20 whatever max_n is, so lengths past it are caught too
+    real = bounds.upper_bound
+
+    def changed(n, s0=0, include_d=True):
+        b = real(n, s0, include_d)
+        return replace(b, **{field: getattr(b, field) + delta}) if n == bad else b
+
+    monkeypatch.setattr(bounds, "upper_bound", changed)
+    [result] = verify.run_checks(6, ["bound identities"])
+    assert not result.ok
+    assert result.detail == f"{message} from the closed form at n={bad}"
 
 
 def test_out_of_memory_is_usage_error(monkeypatch, capsys):

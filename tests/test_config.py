@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import row_dyadics
+from oracles import channel_row_from_enumeration, row_dyadics
 from test_bounds import _NOT_INT64
 from trapdoor import bounds, config, enumeration, fractal, optimize, serialization, verify
 from trapdoor.channel import (
@@ -34,7 +34,7 @@ INTEGER_SCALARS = {
     "channel_pair": channel_pair,
     "invert_two_step": lambda v: invert_two_step(v, 0),
     "ChannelMatrix": lambda v: ChannelMatrix(v, 0, build_channel_matrix(2, 0).data),
-    "channel_row_from_enumeration": lambda v: enumeration.channel_row_from_enumeration(v, 0, "01"),
+    "channel_row_from_enumeration": lambda v: channel_row_from_enumeration(v, 0, "01"),
     "entropy_vector_recursive_step": bounds.entropy_vector_recursive_step,
     "entropy_vector_recursive_even": bounds.entropy_vector_recursive_even,
     "entropy_state1": bounds.entropy_state1,
@@ -164,7 +164,7 @@ CAPPED = {
     "channel_row_from_enumeration": (
         config.INPUT_CAP_ENV,
         4,
-        lambda n: enumeration.channel_row_from_enumeration(n, 1, "1" * n),
+        lambda n: channel_row_from_enumeration(n, 1, "1" * n),
     ),
 }
 
@@ -298,7 +298,7 @@ STATE_ENTRY_POINTS = {
     "constraint_check_with_P": lambda s: bounds.constraint_check(2, s, [0.25] * 4, P=_p(2, 0)),
     "generate_outputs": lambda s: enumeration.generate_outputs("01", s),
     "feasibility": lambda s: enumeration.feasibility("01", "01", s),
-    "channel_row_from_enumeration": lambda s: enumeration.channel_row_from_enumeration(2, s, "01"),
+    "channel_row_from_enumeration": lambda s: channel_row_from_enumeration(2, s, "01"),
     "trapdoor_ifs": lambda s: fractal.trapdoor_ifs(s),
     "EntropyVector": lambda s: bounds.EntropyVector(1, s, [0, 0]),
     "OmegaVector": lambda s: bounds.OmegaVector(1, s, [0, 0]),
@@ -316,7 +316,7 @@ def test_bad_state_rejected_everywhere(name, bad):
 def test_integer_likes_act_as_their_state(state):
     assert enumeration.feasibility("01", "01", state) == Dyadic(1, 1)
     assert enumeration.generate_outputs("01", state) == enumeration.generate_outputs("01", 1)
-    assert enumeration.channel_row_from_enumeration(2, state, "01") == row_dyadics(_p(2, 1), 1)
+    assert channel_row_from_enumeration(2, state, "01") == row_dyadics(_p(2, 1), 1)
     b = bounds.upper_bound(3, state)
     assert b.s0 == 1 and type(b.s0) is int
     P = build_channel_matrix(2, state)
@@ -346,7 +346,7 @@ BIT_ENTRY_POINTS = {
     "generate_outputs": lambda b: enumeration.generate_outputs(b, 0),
     "feasibility_input": lambda b: enumeration.feasibility(b, "01", 0),
     "feasibility_output": lambda b: enumeration.feasibility("01", b, 0),
-    "channel_row_from_enumeration": lambda b: enumeration.channel_row_from_enumeration(2, 0, b),
+    "channel_row_from_enumeration": lambda b: channel_row_from_enumeration(2, 0, b),
 }
 
 

@@ -3,14 +3,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import generate_outputs_dfs, row_dyadics, simulate_outputs
+from oracles import channel_row_from_enumeration, generate_outputs_dfs, row_dyadics, simulate_outputs
 from trapdoor.config import DEFAULT_INPUT_CAP
 from trapdoor.dyadic import Dyadic
-from trapdoor.enumeration import (
-    channel_row_from_enumeration,
-    feasibility,
-    generate_outputs,
-)
+from trapdoor.enumeration import feasibility, generate_outputs
 
 bit_strings = st.integers(min_value=1, max_value=10).flatmap(
     lambda n: st.tuples(

@@ -142,6 +142,15 @@ def test_read_brings_cells_to_lowest_terms(tmp_path):
             read_matrix_csv(path)
 
 
+@pytest.mark.parametrize("s0", ["general", "0"])
+def test_read_names_the_path_of_a_matrix_with_no_rows(tmp_path, s0):
+    # header and row count agree, so the shape check is the first to object
+    path = tmp_path / "none.csv"
+    path.write_text(f"n=0,s0={s0},dim=0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: matrix must be square")):
+        read_matrix_csv(path)
+
+
 @pytest.mark.parametrize("s0", ["2", "banana", ""])
 def test_read_rejects_an_unknown_state_header(tmp_path, pairs, s0):
     path = tmp_path / "p2.csv"
