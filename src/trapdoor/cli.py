@@ -28,7 +28,57 @@ INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 _IMAGE_NAMES = {"fractal": "trapdoor_s{s}_k{resolution}", "sierpinski": "sierpinski_k{resolution}"}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_state(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-s", type=int, default=0, choices=(0, 1), help="initial state (default 0)")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-n", type=int, required=True, help="block length")
+    _add_state(p)
+    p.add_argument("-o", metavar="PATH", default=None, help="output file (default: stdout)")
+
+
+def _add_matrix(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--inverse", action="store_true", help="emit the inverse matrix")
+    p.add_argument("--format", choices=("csv", "text"), default="text")
+
+
+def _add_enumerate(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-i", metavar="BITS", required=True, help="input bit string")
+    _add_state(p)
+    p.add_argument("-o", metavar="PATH", default=None)
+    p.add_argument("--format", choices=("json", "text"), default="text")
+
+
+def _add_vector(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--format", choices=("json", "text"), default="text")
+
+
+def _add_ba(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-10, help="per-letter bracket width (default 1e-10)")
+    p.add_argument("--max-iter", type=int, default=200_000)
+    p.add_argument("--format", choices=("json", "text"), default="text")
+
+
+def _add_render(p: argparse.ArgumentParser, name: str, mode: str, state: bool) -> None:
+    p.add_argument("--resolution", type=int, required=True, help="number of iterations")
+    if state:
+        _add_state(p)
+    p.add_argument("--mode", choices=("linear", "log", "binary"), default=mode)
+    p.add_argument("--gamma", type=float, default=1.0)
+    default = f"{_IMAGE_NAMES[name]}.pgm, or .png with --format png"
+    p.add_argument("-o", metavar="PATH", default=None, help=f"output image (default: {default})")
+    p.add_argument("--format", choices=("pgm", "png"), default=None, help="default: from file suffix")
+
+
+def _add_verify(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-n", type=int, default=8, help="largest block length checked (default 8)")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trapdoor",
         description=(
@@ -41,59 +91,12 @@ def _build_parser() -> argparse.ArgumentParser:
             f"{config.MATRIX_CAP_ENV}, {config.INPUT_CAP_ENV}, {config.BOUND_CAP_ENV}."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_state(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-s", type=int, default=0, choices=(0, 1), help="initial state (default 0)")
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-n", type=int, required=True, help="block length")
-        add_state(p)
-        p.add_argument("-o", metavar="PATH", default=None, help="output file (default: stdout)")
-
-    p = sub.add_parser("matrix", help="channel matrix or its exact inverse")
-    add_common(p)
-    p.add_argument("--inverse", action="store_true", help="emit the inverse matrix")
-    p.add_argument("--format", choices=("csv", "text"), default="text")
-
-    p = sub.add_parser("enumerate", help="feasible outputs and exact likelihoods")
-    p.add_argument("-i", metavar="BITS", required=True, help="input bit string")
-    add_state(p)
-    p.add_argument("-o", metavar="PATH", default=None)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-
-    for name, text in (
-        ("entropy", "conditional entropy vector, direct vs recursive"),
-        ("omega", "weight vector, direct vs recursive"),
-        ("bound", "exact S and the capacity upper bound"),
-    ):
-        p = sub.add_parser(name, help=text)
-        add_common(p)
-        p.add_argument("--format", choices=("json", "text"), default="text")
-
-    p = sub.add_parser("ba", help="simplex capacity via Blahut-Arimoto")
-    add_common(p)
-    p.add_argument("--tol", type=float, default=1e-10, help="per-letter bracket width (default 1e-10)")
-    p.add_argument("--max-iter", type=int, default=200_000)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-
-    def add_render(name: str, text: str, mode: str, state: bool) -> None:
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--resolution", type=int, required=True, help="number of iterations")
-        if state:
-            add_state(p)
-        p.add_argument("--mode", choices=("linear", "log", "binary"), default=mode)
-        p.add_argument("--gamma", type=float, default=1.0)
-        default = f"{_IMAGE_NAMES[name]}.pgm, or .png with --format png"
-        p.add_argument("-o", metavar="PATH", default=None, help=f"output image (default: {default})")
-        p.add_argument("--format", choices=("pgm", "png"), default=None, help="default: from file suffix")
-
-    add_render("fractal", "render the channel attractor approximant", "log", state=True)
-    add_render("sierpinski", "render the Sierpinski iterate", "binary", state=False)
-
-    p = sub.add_parser("verify", help="run the cross-module invariant suite")
-    p.add_argument("--max-n", type=int, default=8, help="largest block length checked (default 8)")
-
+    # only a named command's subparser is built; the metavar keeps every name in the usage line
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, add, _) in _COMMANDS.items():
+        if command in (None, name):
+            add(sub.add_parser(name, help=text))
     return parser
 
 
@@ -212,24 +215,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return CHECK_FAILED if failed else 0
 
 
+# name: (help, argument adder, handler), in the order of the help listing
 _COMMANDS = {
-    "matrix": _cmd_matrix,
-    "enumerate": _cmd_enumerate,
-    "entropy": _cmd_vector,
-    "omega": _cmd_vector,
-    "bound": _cmd_bound,
-    "ba": _cmd_ba,
-    "fractal": _cmd_render,
-    "sierpinski": _cmd_render,
-    "verify": _cmd_verify,
+    "matrix": ("channel matrix or its exact inverse", _add_matrix, _cmd_matrix),
+    "enumerate": ("feasible outputs and exact likelihoods", _add_enumerate, _cmd_enumerate),
+    "entropy": ("conditional entropy vector, direct vs recursive", _add_vector, _cmd_vector),
+    "omega": ("weight vector, direct vs recursive", _add_vector, _cmd_vector),
+    "bound": ("exact S and the capacity upper bound", _add_vector, _cmd_bound),
+    "ba": ("simplex capacity via Blahut-Arimoto", _add_ba, _cmd_ba),
+    "fractal": ("render the channel attractor approximant",
+                lambda p: _add_render(p, "fractal", "log", state=True), _cmd_render),
+    "sierpinski": ("render the Sierpinski iterate",
+                   lambda p: _add_render(p, "sierpinski", "binary", state=False), _cmd_render),
+    "verify": ("run the cross-module invariant suite", _add_verify, _cmd_verify),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from trapdoor import bounds, enumeration, fractal, optimize, verify
+from trapdoor import bounds, cli, enumeration, fractal, optimize, verify
 from trapdoor.channel import ChannelMatrix
 from trapdoor.cli import main
 from trapdoor.dyadic import Dyadic
@@ -192,6 +194,30 @@ def test_enumeration_check_names_a_changed_likelihood(monkeypatch, factor):
     [result] = verify.run_checks(5, ["enumeration vs matrices"])
     assert not result.ok
     assert result.detail.endswith("row mismatch at n=3, s0=1, x=010")
+
+
+@pytest.mark.parametrize(("n", "s0", "x", "y", "delta"), ((3, 0, 0b101, 0b100, 1), (7, 1, 0b1100101, 0, -1)))
+def test_enumeration_check_names_a_changed_entry_of_the_trie_walk(monkeypatch, n, s0, x, y, delta):
+    real = enumeration.enumerate_all
+
+    def changed(m, s):
+        table = real(m, s)
+        if (m, s) == (n, s0):
+            table[x, y] += delta
+        return table
+
+    monkeypatch.setattr(enumeration, "enumerate_all", changed)
+    [result] = verify.run_checks(8, ["enumeration vs matrices"])
+    assert not result.ok
+    assert result.detail == f"row mismatch at n={n}, s0={s0}, x={x:0{n}b}"
+
+
+def test_simplex_certification_at_max_n_0_names_the_n1_run():
+    [result] = verify.run_checks(0, ["simplex certification"])
+    assert result.ok
+    assert result.detail == "n=1: 0.321928 attains the bound within 1e-6"
+    [result] = verify.run_checks(2, ["simplex certification"])
+    assert result.detail == "n=1: 0.321928; n=2: 0.500000 all <= bound + 1e-08"
 
 
 def test_inverse_blocks_check_the_one_step_formula():
@@ -462,3 +488,67 @@ def test_a_call_after_another_equals_the_call_alone(capsys, tmp_path, first, sec
     after = _outcome(second, capsys, tmp_path / "after")
     assert after == alone
     assert before[0] != 0 or before[1:] != alone[1:]  # the first call differs from the second
+
+
+# -- one subparser per call ------------------------------------------------------
+
+_COMMAND_NAMES = ("matrix", "enumerate", "entropy", "omega", "bound", "ba", "fractal", "sierpinski", "verify")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("matrix", "-n", "2", "--inverse"),
+        ("enumerate", "-i", "0110", "-s", "1", "--format", "json"),
+        ("entropy", "-n", "3"),
+        ("omega", "-n", "3", "-s", "1"),
+        ("bound", "-n", "3", "--format", "json"),
+        ("ba", "-n", "2", "--tol", "1e-6"),
+        ("fractal", "--resolution", "2", "-o", "f.png"),
+        ("sierpinski", "--resolution", "2"),
+        ("verify", "--max-n", "0"),
+        ("-h",),
+        *((name, "-h") for name in _COMMAND_NAMES),
+        ("matrix",),
+        ("matrix", "-n", "2", "--format", "json"),
+        ("bound", "-n", "x"),
+        ("bogus",),
+        (),
+        ("verify", "--max-n", "2", "extra"),
+    ),
+    ids=repr,
+)
+def test_the_lazy_parser_acts_as_the_full_one(capsys, tmp_path, monkeypatch, argv):
+    lazy = _outcome(argv, capsys, tmp_path / "lazy")
+    full_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_parser())
+    full = _outcome(argv, capsys, tmp_path / "full")
+    if argv[:1] == ("verify",):  # the timings of the checks differ
+        lazy, full = ([re.sub(r" \(\d+\.\d+s\)", "", o) if isinstance(o, str) else o for o in r]
+                      for r in (lazy, full))
+    assert lazy == full
+
+
+def test_a_named_command_builds_its_subparser_only():
+    [sub] = [a for a in cli._build_parser("bound")._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["bound"]
+    assert sub.metavar == "{" + ",".join(_COMMAND_NAMES) + "}"
+    [sub] = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert tuple(sub.choices) == _COMMAND_NAMES
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    (
+        ((), "the following arguments are required: command"),
+        (("bogus",), "argument command: invalid choice: 'bogus' (choose from 'matrix', 'enumerate', "),
+        (("verify", "--max-n", "2", "extra"), "unrecognized arguments: extra"),
+    ),
+    ids=("none", "unknown", "extra"),
+)
+def test_top_level_usage_errors_list_every_command(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage line to the terminal width
+    code, out, err, _ = _outcome(argv, capsys, tmp_path / "call")
+    usage = "usage: trapdoor [-h]\n                {" + ",".join(_COMMAND_NAMES) + "}\n                ...\n"
+    assert (code, out) == (2, "")
+    assert err.startswith(usage) and err.splitlines()[-1].startswith(f"trapdoor: error: {message}")

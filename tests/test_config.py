@@ -35,6 +35,7 @@ INTEGER_SCALARS = {
     "invert_two_step": lambda v: invert_two_step(v, 0),
     "ChannelMatrix": lambda v: ChannelMatrix(v, 0, build_channel_matrix(2, 0).data),
     "channel_row_from_enumeration": lambda v: channel_row_from_enumeration(v, 0, "01"),
+    "enumerate_all": lambda v: enumeration.enumerate_all(v, 0),
     "entropy_vector_recursive_step": bounds.entropy_vector_recursive_step,
     "entropy_vector_recursive_even": bounds.entropy_vector_recursive_even,
     "entropy_state1": bounds.entropy_state1,
@@ -160,6 +161,7 @@ CAPPED = {
     "entropy_state1": (config.BOUND_CAP_ENV, 5, bounds.entropy_state1),
     "upper_bound": (config.BOUND_CAP_ENV, 5, lambda n: bounds.upper_bound(n, include_d=False)),
     "d_vector": (config.BOUND_CAP_ENV, 5, bounds.d_vector),
+    "enumerate_all": (config.MATRIX_CAP_ENV, 4, lambda n: enumeration.enumerate_all(n, 1)),
     "generate_outputs": (config.INPUT_CAP_ENV, 4, lambda n: enumeration.generate_outputs(("10" * n)[:n], 0)),
     "channel_row_from_enumeration": (
         config.INPUT_CAP_ENV,
@@ -203,11 +205,12 @@ def test_default_caps(call, env, monkeypatch):
     "call, cost",
     [
         (lambda: build_channel_matrix(4, 0), "storage is 4**4 entries"),
+        (lambda: enumeration.enumerate_all(4, 0), "its array stores 4**4 entries"),
         (lambda: bounds.omega_recursive(4), "the vector has 2**4 entries"),
         (lambda: enumeration.generate_outputs("0101", 0), "worst-case support is 2**4"),
         (lambda: fractal.ifs_iterate(fractal.sierpinski_ifs(), fractal.unit_grid(), 4), "4**4 bytes"),
     ],
-    ids=["matrix", "bound", "input", "grid"],
+    ids=["matrix", "enumerate_all", "bound", "input", "grid"],
 )
 def test_cap_message_states_the_cost(call, cost, monkeypatch):
     for env in (config.MATRIX_CAP_ENV, config.BOUND_CAP_ENV, config.INPUT_CAP_ENV):
@@ -233,6 +236,7 @@ def test_cap_env_must_be_a_non_negative_integer(raw, monkeypatch):
         lambda: bounds.entropy_vector_recursive_step(-1),
         lambda: bounds.entropy_vector_recursive_even(-2),
         lambda: bounds.d_vector(-1),
+        lambda: enumeration.enumerate_all(-1, 0),
         lambda: fractal.ifs_iterate(fractal.sierpinski_ifs(), fractal.unit_grid(), -1),
     ],
     ids=[
@@ -243,6 +247,7 @@ def test_cap_env_must_be_a_non_negative_integer(raw, monkeypatch):
         "entropy_vector_recursive_step",
         "entropy_vector_recursive_even",
         "d_vector",
+        "enumerate_all",
         "ifs_iterate",
     ],
 )
@@ -298,6 +303,7 @@ STATE_ENTRY_POINTS = {
     "constraint_check_with_P": lambda s: bounds.constraint_check(2, s, [0.25] * 4, P=_p(2, 0)),
     "generate_outputs": lambda s: enumeration.generate_outputs("01", s),
     "feasibility": lambda s: enumeration.feasibility("01", "01", s),
+    "enumerate_all": lambda s: enumeration.enumerate_all(2, s),
     "channel_row_from_enumeration": lambda s: channel_row_from_enumeration(2, s, "01"),
     "trapdoor_ifs": lambda s: fractal.trapdoor_ifs(s),
     "EntropyVector": lambda s: bounds.EntropyVector(1, s, [0, 0]),

@@ -1,12 +1,14 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import channel_row_from_enumeration, generate_outputs_dfs, row_dyadics, simulate_outputs
+from trapdoor.channel import build_channel_matrix
 from trapdoor.config import DEFAULT_INPUT_CAP
 from trapdoor.dyadic import Dyadic
-from trapdoor.enumeration import feasibility, generate_outputs
+from trapdoor.enumeration import enumerate_all, feasibility, generate_outputs
 
 bit_strings = st.integers(min_value=1, max_value=10).flatmap(
     lambda n: st.tuples(
@@ -73,6 +75,43 @@ def test_likelihoods_sum_to_one_and_are_halving_powers(case):
 )
 def test_matches_depth_first_recursion(bits, s0):
     assert generate_outputs(bits, s0).outputs == generate_outputs_dfs(bits, s0)
+
+
+# -- the two routes through the paper's second view -------------------------------
+
+
+@pytest.fixture(scope="module")
+def tables():
+    """enumerate_all(n, s0), built once per (n, s0) for this module."""
+    cache = {}
+
+    def get(n, s0):
+        if (n, s0) not in cache:
+            cache[(n, s0)] = enumerate_all(n, s0)
+        return cache[(n, s0)]
+
+    yield get
+    cache.clear()
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.sampled_from("01"), min_size=1, max_size=12).map("".join),
+    st.integers(min_value=0, max_value=1),
+)
+def test_generate_outputs_is_a_row_of_the_trie_walk(tables, bits, s0):
+    n = len(bits)
+    row = tables(n, s0)[int(bits, 2)]
+    want = {format(y, f"0{n}b"): Dyadic(int(v), n) for y, v in enumerate(row.tolist()) if v}
+    assert generate_outputs(bits, s0).outputs == want
+
+
+@pytest.mark.parametrize("s0", (0, 1))
+@pytest.mark.parametrize("n", range(11))
+def test_trie_walk_equals_the_block_recursion(n, s0):
+    table = enumerate_all(n, s0)
+    assert table.shape == (1 << n, 1 << n) and table.dtype.kind == "i"
+    assert np.array_equal(table, build_channel_matrix(n, s0).data.with_exp(n).array)
 
 
 def test_alternating_input_at_the_cap():
