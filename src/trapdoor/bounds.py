@@ -29,9 +29,7 @@ d = [3/4, 1/2] is non-negative and the bound is attained on the simplex at
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -343,45 +341,21 @@ def d_vector(n: int, s0: int = 0, inverse: DyadicMatrix | None = None) -> list[D
     return [Dyadic(v, top + inverse.exp) for v in nums.tolist()]
 
 
-def _exact_distribution(p: Sequence) -> tuple[list[Fraction], np.ndarray]:
-    """p as exact Fractions, and as one integer array p_int = p * lcm of the
-    denominators (int64, or Python ints past int64).
-
-    Entries may be ints, Fractions, Dyadics, or floats (floats are dyadic, so
-    the conversion is lossless).  Non-finite and non-numeric entries (strings,
-    which Fraction would parse, bytes, None) raise ValueError.
-    """
-    pf = []
-    for i, v in enumerate(p):
-        if not isinstance(v, (numbers.Number, Dyadic)):
-            raise ValueError(f"distribution entry {i} is {v!r}, not a finite number")
-        try:
-            pf.append(v.as_fraction() if isinstance(v, Dyadic) else Fraction(v))
-        except (OverflowError, ValueError, TypeError):
-            raise ValueError(f"distribution entry {i} is {v}, not a finite number") from None
-    scale = math.lcm(*(f.denominator for f in pf))
-    return pf, config.integer_array([f.numerator * (scale // f.denominator) for f in pf], "distribution")
-
-
 def constraint_check(
     n: int, s0: int, p: Sequence, P: ChannelMatrix | None = None
 ) -> bool:
     """True iff every output mass (P^T p)_j is non-negative.
 
-    Entries of p may be ints, Fractions, Dyadics, or floats, of any sign.
-    The test is exact and integer-only: p is scaled by the lcm of its
-    denominators to integers p_int, and the sign of each entry of the exact
-    product p_int @ P.data.array decides, since both scales are positive.
-    Non-finite entries raise ValueError.
+    p follows config's probability-vector rule, with any sign and sum.  The
+    test is exact and integer-only: the sign of each entry of p_int @
+    P.data.array decides, p_int being p times the lcm of its denominators.
     """
     s0 = config.check_state(s0)
     if P is None:
         P = build_channel_matrix(n, s0)
     elif (P.n, P.s0) != (n, s0):
         raise ValueError(f"channel matrix is P({P.n}, {P.s0}), expected P({n}, {s0})")
-    if len(p) != P.dim:
-        raise ValueError("distribution length must be 2**n")
-    _, p_int = _exact_distribution(p)
+    p_int, _ = config.exact_probabilities(p, P.dim)
     return bool((exact_product(p_int[None, :], P.data.array) >= 0).all())
 
 

@@ -32,7 +32,7 @@ from . import config
 from .matrices import DyadicMatrix, dtype_for, max_abs
 
 
-_BLOCK_CELLS = 1 << 16  # entries per row block in ChannelMatrix.halvings and fractal.render_pgm
+BLOCK_CELLS = 1 << 16  # entries per row block; public, as fractal.render_pgm blocks by it too
 
 
 class ChannelMatrix:
@@ -69,11 +69,11 @@ class ChannelMatrix:
     def halvings(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Blocks of consecutive rows as (entries, m), each non-zero entry being 2**-m.
 
-        Blocks hold about _BLOCK_CELLS entries, so their temporaries stay
+        Blocks hold about BLOCK_CELLS entries, so their temporaries stay
         small.  Raises ValueError unless every entry is 0 or a power of two.
         """
         a = self.data.array
-        step = max(1, _BLOCK_CELLS // self.dim)
+        step = max(1, BLOCK_CELLS // self.dim)
         for start in range(0, self.dim, step):
             v = np.ascontiguousarray(a[start : start + step])  # ufuncs are slow on reversed views
             if ((v < 0) | (v & (v - 1) != 0)).any():

@@ -141,8 +141,9 @@ def _cmd_vector(args: argparse.Namespace) -> int:
         recursion = bounds.omega_recursive if args.s == 0 else bounds.omega_state1
     agree = np.array_equal(vec.array, recursion(args.n).array)
     if args.format == "json":
-        report = {"n": args.n, "s0": args.s, "entries": vec.entries, "recursion_agrees": agree}
-        _emit(serialization.dumps_json(report), args.o)  # dyadics as "a/2^e" strings
+        entries = [serialization.format_dyadic(v) for v in vec.entries] if name == "h" else vec.entries
+        report = {"n": args.n, "s0": args.s, "entries": entries, "recursion_agrees": agree}
+        _emit(serialization.dumps_json(report), args.o)
     else:
         entries = "  ".join(map(str, vec.entries))
         _emit(f"{name}(n={args.n}, s0={args.s}) = [{entries}]\nrecursion agrees: {agree}", args.o)

@@ -1,16 +1,19 @@
-"""The input rules every view shares: integers, rationals, caps, per-letter lengths, states, bit strings.
+"""The shared input rules: integers, rationals, probability vectors, caps, per-letter lengths, states, bits.
 
 Each rule lives here once and every entry point calls it.  No integer input
 (a length, count, side or exponent, or an entry of an exact array) is made
 from a float, a string, a Fraction or None, and no exact rational (a
-coefficient of an affine map) from a float, a string, a bool or None.  A
-cap bounds a length by what it costs where the memory is allocated (4**n
-entries for a dense matrix or fractal grid, 2**n for a weight vector or an
-enumeration support) and can be overridden through an environment variable.
+coefficient of an affine map) from a float, a string, a bool or None.  An
+entry of a probability vector (probabilities, exact_probabilities) is an
+exact rational or a finite float: a bool or a string raises.  A cap bounds
+a length by its cost where the memory is allocated (4**n entries for a
+dense matrix or fractal grid, 2**n for a weight vector or an enumeration
+support) and can be overridden through an environment variable.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from fractions import Fraction
@@ -72,6 +75,42 @@ def integer_array(values, what: str) -> np.ndarray:
         return arr.astype(np.int64)
     except OverflowError:  # past int64
         return np.frompyfunc(int, 1, 1)(arr) if others else arr
+
+
+def _entries(p, dim: int) -> np.ndarray | list:
+    """p as it is if it is a numpy integer or float array, else as a list of floats and
+    Fractions; ValueError unless it has length dim and each entry is a finite float or
+    numpy float or what rational takes.  An array is checked by dtype and finiteness."""
+    array = isinstance(p, np.ndarray) and p.dtype.kind in "iuf"
+    if (p.shape if array else (len(p),)) != (dim,):
+        raise ValueError(f"distribution must have length {dim}")
+    out = []
+    for i in np.flatnonzero(~np.isfinite(p))[:1] if array else range(dim):
+        v = float(p[i]) if isinstance(p[i], (float, np.floating)) else p[i]
+        try:
+            out.append(v if isinstance(v, float) and math.isfinite(v) else rational(v, ""))
+        except ValueError:
+            raise ValueError(f"distribution entry {i} is {v!r}, not a finite number") from None
+    return p if array else out
+
+
+def probabilities(p, dim: int) -> np.ndarray:
+    """p as a new float64 vector clipped at 0; ValueError for an entry below
+    -1e-12 or a sum off 1 by more than 1e-9."""
+    arr = np.asarray(_entries(p, dim), dtype=float)
+    if arr.min() < -1e-12:
+        raise ValueError("distribution has a negative entry")
+    if abs(arr.sum() - 1.0) > 1e-9:
+        raise ValueError(f"distribution sums to {arr.sum()}, expected 1")
+    return np.clip(arr, 0.0, None)
+
+
+def exact_probabilities(p, dim: int) -> tuple[np.ndarray, int]:
+    """(p_int, scale) with p == p_int / scale exactly, scale the lcm of the
+    denominators (floats are dyadic); any sign and sum pass."""
+    fracs = list(map(Fraction, np.asarray(_entries(p, dim), dtype=object).tolist()))  # Python numbers
+    scale = math.lcm(*(f.denominator for f in fracs))
+    return integer_array([f.numerator * (scale // f.denominator) for f in fracs], "distribution"), scale
 
 
 def cap(env: str) -> int:

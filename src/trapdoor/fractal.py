@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import config
-from .channel import _BLOCK_CELLS, ChannelMatrix
+from .channel import BLOCK_CELLS as _BLOCK_CELLS, ChannelMatrix  # render_pgm's; tests patch it here
 from .dyadic import Dyadic
 
 Frac3 = tuple[Fraction, Fraction, Fraction]
@@ -271,23 +271,14 @@ def _cell_transform(m: AffineMap3, res: int) -> tuple[int, int, int, int, int, i
 def _self_overlap(drdr: int, drdc: int, dcdr: int, dcdc: int, side: int) -> tuple[int, int] | None:
     """A source cell whose image another cell of the same map also hits, or None.
 
-    The integer map (r, c) -> (drdr*r + drdc*c, dcdr*r + dcdc*c) is injective
-    when its determinant is nonzero.  Otherwise its kernel holds a shortest
-    vector v, and cells p and p + v collide iff both lie in the side x side box.
+    The integer map (r, c) -> (drdr*r + drdc*c, dcdr*r + dcdc*c) of a contraction has entries
+    in {-1, 0, 1}; when singular it collides p and p + v, v in its kernel, iff side >= 2.  p is
+    (0, 1) if the first non-zero row (a, b) has a == b (v = (1, -1)), else (0, 0).
     """
-    if drdr * dcdc != drdc * dcdr:
+    if drdr * dcdc != drdc * dcdr or side < 2:
         return None
     a, b = (drdr, drdc) if drdr or drdc else (dcdr, dcdc)
-    if a == b == 0:
-        vr, vc = 0, 1
-    else:
-        g = math.gcd(a, b)
-        vr, vc = -b // g, a // g
-        if vr < 0 or (vr == 0 and vc < 0):
-            vr, vc = -vr, -vc
-    if vr >= side or abs(vc) >= side:
-        return None
-    return 0, max(0, -vc)
+    return 0, int(a == b != 0)
 
 
 def _overlap_error(cell: tuple[int, int]) -> GridSemanticsError:

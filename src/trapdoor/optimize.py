@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import config
-from .bounds import _exact_distribution, closed_form, entropy_vector_direct
+from .bounds import closed_form, entropy_vector_direct
 from .channel import ChannelMatrix, build_channel_matrix
 from .matrices import exact_product
 
@@ -50,21 +50,6 @@ class OptimizationReport:
     @property
     def converged(self) -> bool:
         return self.final_gap <= self.tol
-
-
-def _as_prob_vector(p: Sequence[float], dim: int) -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (dim,):
-        raise ValueError(f"distribution must have length {dim}")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"distribution entry {i} is {arr[i]}, not a finite number")
-    if arr.min() < -1e-12:
-        raise ValueError("distribution has a negative entry")
-    if abs(arr.sum() - 1.0) > 1e-9:
-        raise ValueError(f"distribution sums to {arr.sum()}, expected 1")
-    return np.clip(arr, 0.0, None)
 
 
 def _float_matrix(P: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +112,7 @@ def mutual_information(P: ChannelMatrix, p: Sequence[float]) -> float:
     Zero-probability inputs and zero channel entries contribute nothing.
     """
     config.check_per_letter(P.n)
-    arr = _as_prob_vector(p, P.dim)
+    arr = config.probabilities(p, P.dim)
     W, wlogw = _float_matrix(P)
     q = arr @ W
     D = _divergences(W, wlogw, np.log2(np.where(q > 0.0, q, 1.0)), np.empty(P.dim))
@@ -144,19 +129,16 @@ def mutual_information_exact(P: ChannelMatrix, p: Sequence) -> Fraction:
     n=2 channel is the motivating case, where the result is exactly 1/2.
     """
     config.check_per_letter(P.n)
-    if len(p) != P.dim:
-        raise ValueError(f"distribution must have length {P.dim}")
-    pf, p_int = _exact_distribution(p)
-    if sum(pf) != 1:
+    p_arr, scale = config.exact_probabilities(p, P.dim)
+    p_int = p_arr.tolist()
+    if sum(p_int) != scale:
         raise ValueError("distribution must sum to exactly 1")
-    if any(v < 0 for v in pf):
+    if min(p_int) < 0:
         raise ValueError("distribution has a negative entry")
-    # p_int sums to the lcm scale of p, so q_j = q_int[j] / (scale * 2**exp)
-    # and the likelihood ratio P_ij / q_j is a[i, j] * scale / q_int[j]
+    # q_j = q_int[j] / (scale * 2**exp), so the likelihood ratio P_ij / q_j
+    # is a[i, j] * scale / q_int[j]
     a = P.data.array
-    q_int = exact_product(p_int[None, :], a)[0].tolist()
-    p_int = p_int.tolist()
-    scale = sum(p_int)
+    q_int = exact_product(p_arr[None, :], a)[0].tolist()
     total = 0
     for i, pi in enumerate(p_int):
         if not pi:
@@ -204,7 +186,7 @@ def blahut_arimoto(
         raise ValueError("need at least one iteration")
     W, wlogw = _float_matrix(P)
     dim = P.dim
-    p = np.full(dim, 1.0 / dim) if init is None else _as_prob_vector(init, dim)
+    p = np.full(dim, 1.0 / dim) if init is None else config.probabilities(init, dim)
     alphabet = None if p.all() else p > 0.0
     q = np.empty(W.shape[1])
     logq = np.empty_like(q)

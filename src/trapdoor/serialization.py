@@ -1,7 +1,8 @@
 """Exact, deterministic serialization shared by all modules.
 
-Dyadic values travel as the canonical text form "a/2^e" (numerator odd
-unless e = 0; plain "0" for zero), so exports stay exact and diffable.
+Dyadic values travel as format_dyadic's canonical form "a/2^e" (numerator
+odd unless e = 0; "0" for zero), in CSV cells and JSON reports alike: each
+report formats its dyadics before dumps_json, which has no hook for them.
 Matrix CSV files carry a header row with the block length, initial state
 (or "general"), and dimension.  Image writers emit binary PGM (P5) and a
 minimal 8-bit grayscale PNG; both are byte-deterministic functions of their
@@ -150,15 +151,8 @@ def read_matrix_csv(path: Union[str, Path]) -> Matrix:
         raise ValueError(f"{p}: {exc}") from None
 
 
-def json_default(obj: Any) -> Any:
-    """json.dumps hook: dyadics as canonical strings."""
-    if isinstance(obj, Dyadic):
-        return format_dyadic(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def dumps_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False, default=json_default) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
 def write_pgm(data: bytes, path: Union[str, Path]) -> None:

@@ -161,12 +161,13 @@ def _check_omega_recursions(ctx: _Context) -> str:
 
 def _check_state_coupling_identity(ctx: _Context) -> str:
     # P(2n,1) P(2n,0)^-1 h(2n,0) == reversal of h(2n,0)
-    for n in range(0, min(ctx.max_n, 8) + 1, 2):
+    ns = range(0, min(ctx.max_n, 8) + 1, 2)
+    for n in ns:
         P1 = ctx.matrix(n, 1)
         h0 = bounds.entropy_vector_direct(ctx.matrix(n, 0)).entries
         lhs = P1.data.matvec(ctx.inverse(n, 0).matvec(h0))
         assert lhs == h0[::-1], f"coupling identity fails at n={n}"
-    return "P(2n,1) P(2n,0)^-1 h equals reversed h, even n <= 8"
+    return f"P(2n,1) P(2n,0)^-1 h equals reversed h, even n <= {ns[-1]}"
 
 
 def _check_bound_identities(ctx: _Context) -> str:
@@ -192,7 +193,8 @@ def _check_d_vector(ctx: _Context) -> str:
         Fraction(3, 5),
         Fraction(2, 5),
     ], "n=1 relaxed optimum should be [3/5, 2/5]"
-    for n in range(2, ctx.max_n + 1):
+    ns = range(2, ctx.max_n + 1)
+    for n in ns:
         d = bounds.d_vector(n, 0, inverse=ctx.inverse(n, 0))
         assert d == bounds.d_vector(n, 0), f"matrix-free d differs from the dense product at n={n}"
         S = bounds.closed_form_S(n)
@@ -207,10 +209,8 @@ def _check_d_vector(ctx: _Context) -> str:
             assert second_last == Dyadic(-3, 0).shift(n - 5), (
                 f"odd-length value -3*2^(n-5) fails at n={n}"
             )
-    return (
-        f"sum d == S and d[2^n-1] < 0 for 2 <= n <= {ctx.max_n} "
-        "(-3*2^(n-3) even, -3*2^(n-5) odd); n=1 optimum [3/5, 2/5] on the simplex"
-    )
+    n1, forms = "n=1 optimum [3/5, 2/5] on the simplex", "(-3*2^(n-3) even, -3*2^(n-5) odd)"
+    return f"sum d == S and d[2^n-1] < 0 for {ns[0]} <= n <= {ns[-1]} {forms}; {n1}" if ns else n1
 
 
 def _check_enumeration(ctx: _Context) -> str:
@@ -253,7 +253,7 @@ def _check_fractal(ctx: _Context) -> str:
         g0 = fractal.rho_representation(ctx.matrix(k, 0))
         assert fractal.tau_transform(g0) == fractal.rho_representation(ctx.matrix(k, 1))
     s_grid = fractal.ifs_iterate(fractal.sierpinski_ifs(), fractal.unit_grid(), min(ctx.max_n, 8))
-    assert s_grid.nonzero_count() == 3 ** min(ctx.max_n, 8)
+    assert s_grid.nonzero_count() == 3**s_grid.resolution
     a = fractal.render_pgm(s_grid, "binary")
     b = fractal.render_pgm(s_grid, "binary")
     assert a == b, "rendering must be deterministic"
@@ -266,9 +266,7 @@ def _check_fractal(ctx: _Context) -> str:
 def _check_simplex_certification(ctx: _Context) -> str:
     tol = 1e-8
     details = []
-    for n in (1, 2, 4):
-        if n > ctx.max_n:
-            continue
+    for n in [n for n in (1, 2, 4) if n <= ctx.max_n]:
         ok, report = optimize.verify_bound(n, 0, tol=tol)
         assert ok, f"BA capacity exceeds the bound at n={n}"
         assert bounds.constraint_check(n, 0, report.distribution, P=ctx.matrix(n, 0))

@@ -16,11 +16,14 @@ level-wise enumeration.  The Blahut-Arimoto loop that masks the support and
 allocates its temporaries on every iteration is the former optimizer loop,
 kept as the reference for the one that works in preallocated buffers.  The
 cell action of an affine map, found by applying the map to three cell centres
-in Fractions, is the reference for the closed form in `fractal._cell_transform`.
+in Fractions, is the reference for the closed form in `fractal._cell_transform`,
+and the kernel search over any integer action is the reference for the closed
+form in `fractal._self_overlap`.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from fractions import Fraction
@@ -243,6 +246,27 @@ def ifs_iterate_lists(ifs, codes: list[list[int]], resolution: int, k: int) -> l
             raise ValueError("height code too fine for the resolution")
     return codes
 
+
+def self_overlap_search(drdr: int, drdc: int, dcdr: int, dcdc: int, side: int) -> tuple[int, int] | None:
+    """The kernel search that `fractal._self_overlap` replaced, for any integer action.
+
+    A singular action's kernel holds a shortest vector v (normalised to point
+    down, or right on row 0); cells p and p + v collide iff both lie in the
+    side x side box, and p is the first such cell in row 0.
+    """
+    if drdr * dcdc != drdc * dcdr:
+        return None
+    a, b = (drdr, drdc) if drdr or drdc else (dcdr, dcdc)
+    if a == b == 0:
+        vr, vc = 0, 1
+    else:
+        g = math.gcd(a, b)
+        vr, vc = -b // g, a // g
+        if vr < 0 or (vr == 0 and vc < 0):
+            vr, vc = -vr, -vc
+    if vr >= side or abs(vc) >= side:
+        return None
+    return 0, max(0, -vc)
 
 def render_pgm_lists(codes: list[list[int]], resolution: int, mode: str, gamma: float = 1.0) -> bytes:
     """The per-cell render loop that `fractal.render_pgm` replaced, on raw codes."""

@@ -220,6 +220,41 @@ def test_simplex_certification_at_max_n_0_names_the_n1_run():
     assert result.detail == "n=1: 0.321928; n=2: 0.500000 all <= bound + 1e-08"
 
 
+
+@pytest.mark.parametrize(
+    "max_n, coupling, optimizer",
+    [
+        (0, "even n <= 0", None),
+        (1, "even n <= 0", None),
+        (2, "even n <= 2", "for 2 <= n <= 2 "),
+        (3, "even n <= 2", "for 2 <= n <= 3 "),
+    ],
+)
+def test_verify_details_name_only_what_ran(max_n, coupling, optimizer):
+    coupled, d = verify.run_checks(max_n, ["state-coupling identity", "pre-normalized optimizer"])
+    assert coupled.ok and d.ok
+    assert coupled.detail == f"P(2n,1) P(2n,0)^-1 h equals reversed h, {coupling}"
+    n1 = "n=1 optimum [3/5, 2/5] on the simplex"
+    if optimizer is None:
+        assert d.detail == n1
+    else:
+        assert d.detail == f"sum d == S and d[2^n-1] < 0 {optimizer}(-3*2^(n-3) even, -3*2^(n-5) odd); {n1}"
+
+
+ENTROPY_N3_JSON = {
+    "0": '{\n  "n": 3,\n  "s0": 0,\n  "entries": [\n    "0",\n    "1/2^0",\n    "3/2^1",\n    "3/2^1",\n'
+    '    "7/2^2",\n    "9/2^2",\n    "9/2^2",\n    "7/2^2"\n  ],\n  "recursion_agrees": true\n}\n',
+    "1": '{\n  "n": 3,\n  "s0": 1,\n  "entries": [\n    "7/2^2",\n    "9/2^2",\n    "9/2^2",\n    "7/2^2",\n'
+    '    "3/2^1",\n    "3/2^1",\n    "1/2^0",\n    "0"\n  ],\n  "recursion_agrees": true\n}\n',
+}
+
+
+@pytest.mark.parametrize("s0", sorted(ENTROPY_N3_JSON))
+def test_entropy_json_bytes_are_pinned(capsys, s0):
+    # entries are formatted by format_dyadic before dumps_json, which has no dyadic hook
+    assert run(capsys, "entropy", "-n", "3", "-s", s0, "--format", "json") == (0, ENTROPY_N3_JSON[s0], "")
+
+
 def test_inverse_blocks_check_the_one_step_formula():
     [result] = verify.run_checks(5, ["one-step inverse blocks"])
     assert result.ok

@@ -378,3 +378,85 @@ def test_row_index_of_the_empty_string():
     assert _p(0, 1).row_index("") == 0
     assert _p(2, 0).row_index("10") == 2
 
+
+
+# -- probability vectors ---------------------------------------------------------------
+
+# each entry point of the probability-vector rule, on P(1, 0) with a length-2 vector
+DISTRIBUTION_ENTRY_POINTS = {
+    "constraint_check": lambda p: bounds.constraint_check(1, 0, p),
+    "mutual_information_exact": lambda p: optimize.mutual_information_exact(_p(1, 0), p),
+    "mutual_information": lambda p: optimize.mutual_information(_p(1, 0), p),
+    "blahut_arimoto": lambda p: optimize.blahut_arimoto(_p(1, 0), max_iter=1, init=p),
+}
+
+
+@pytest.mark.parametrize(
+    "p, entry, shown",
+    [
+        ([True, False], 0, "True"),
+        ([1, False], 1, "False"),
+        (np.array([True, False]), 0, "np.True_"),
+        (["0.5", "0.5"], 0, "'0.5'"),
+        ([0.5, "1/2"], 1, "'1/2'"),
+    ],
+    ids=["bool", "bool-after-int", "numpy-bool-array", "string", "string-after-float"],
+)
+@pytest.mark.parametrize("name", sorted(DISTRIBUTION_ENTRY_POINTS))
+def test_bools_and_strings_are_not_distribution_entries(name, p, entry, shown):
+    with pytest.raises(ValueError) as exc:
+        DISTRIBUTION_ENTRY_POINTS[name](p)
+    assert str(exc.value) == f"distribution entry {entry} is {shown}, not a finite number"
+
+
+@pytest.mark.parametrize("name", sorted(DISTRIBUTION_ENTRY_POINTS))
+def test_distribution_length_has_one_message(name):
+    for p in ([0.5, 0.25, 0.25], np.array([1.0]), np.array([[0.5, 0.5]])):
+        with pytest.raises(ValueError, match=r"^distribution must have length 2$"):
+            DISTRIBUTION_ENTRY_POINTS[name](p)
+
+
+@pytest.mark.parametrize(
+    "p, want",
+    [
+        ([Fraction(3, 4), Fraction(1, 4)], [0.75, 0.25]),
+        ([Dyadic(3, 2), Dyadic(1, 2)], [0.75, 0.25]),
+        ([0.75, Fraction(1, 4)], [0.75, 0.25]),
+        ([np.float32(0.75), np.float16(0.25)], [0.75, 0.25]),
+        ([np.float64(0.75), Dyadic(1, 2)], [0.75, 0.25]),
+        ([np.int8(1), np.uint64(0)], [1.0, 0.0]),
+        ([1, 0], [1.0, 0.0]),
+        (np.array([0.75, 0.25]), [0.75, 0.25]),
+        (np.array([0.75, 0.25], dtype=np.float32), [0.75, 0.25]),
+        (np.array([1, 0], dtype=np.int16), [1.0, 0.0]),
+    ],
+    ids=repr,
+)
+def test_every_entry_kind_reads_the_same(p, want):
+    P = _p(1, 0)
+    assert optimize.mutual_information(P, p) == optimize.mutual_information(P, want)
+    assert bounds.constraint_check(1, 0, p)
+    floats = config.probabilities(p, 2)
+    assert floats.dtype == np.float64 and floats.tolist() == want and floats is not p
+    p_int, scale = config.exact_probabilities(p, 2)
+    assert [Fraction(v, scale) for v in p_int.tolist()] == [Fraction(v) for v in want]
+
+
+def test_exact_probabilities_scale_by_the_lcm_of_denominators():
+    p_int, scale = config.exact_probabilities([Fraction(1, 3), 0.25, Dyadic(5, 3), -1, np.int64(2)], 5)
+    assert scale == 24 and p_int.tolist() == [8, 6, 15, -24, 48]
+    p_int, scale = config.exact_probabilities(np.array([1, 2], dtype=np.uint8), 2)
+    assert scale == 1 and p_int.tolist() == [1, 2]
+    big, scale = config.exact_probabilities([Fraction(1, 2**70), 1], 2)
+    assert scale == 2**70 and big.tolist() == [1, 2**70]
+
+
+def test_probability_tolerances():
+    assert config.probabilities([1 + 5e-10, -5e-13], 2).tolist() == [1 + 5e-10, 0.0]
+    with pytest.raises(ValueError, match="^distribution has a negative entry$"):
+        config.probabilities([1.1, -0.1], 2)
+    with pytest.raises(ValueError, match=r"^distribution sums to 0\.9, expected 1$"):
+        config.probabilities(np.array([0.5, 0.4]), 2)
+    for bad in (np.array([np.nan, 1.0]), np.array([1.0, np.inf])):
+        with pytest.raises(ValueError, match=r"^distribution entry [01] is (nan|inf), not a finite number$"):
+            config.probabilities(bad, 2)

@@ -8,7 +8,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import cell_transform_fractions, ifs_iterate_lists, render_pgm_lists
+from oracles import cell_transform_fractions, ifs_iterate_lists, render_pgm_lists, self_overlap_search
 from trapdoor import fractal
 from trapdoor.channel import ChannelMatrix
 from trapdoor.fractal import (
@@ -163,6 +163,15 @@ def test_height_codes_too_fine_are_rejected():
     tiny_z = Ifs((AffineMap3.from_rows([[h, 0, 0], [0, h, 0], [0, 0, Fraction(1, 2**200)]], [0, 0, 0]),))
     empty = ShapeGrid(1, [[EMPTY, EMPTY], [EMPTY, EMPTY]])
     assert ifs_iterate(tiny_z, empty, 2).codes == ifs_iterate_lists(tiny_z, empty.codes, 1, 2)
+
+
+@pytest.mark.parametrize("side", (1, 2, 3, 4, 8))
+def test_self_overlap_closed_form_equals_the_kernel_search(side):
+    # a contraction's integer cell action has entries in {-1, 0, 1}: all 81 of them
+    actions = [(a, b, c, d) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1) for d in (-1, 0, 1)]
+    assert len(actions) == 81
+    for action in actions:
+        assert fractal._self_overlap(*action, side) == self_overlap_search(*action, side), action
 
 
 # -- render_pgm ---------------------------------------------------------------

@@ -167,9 +167,12 @@ def test_no_floats_in_csv(pairs, inverses):
         assert "." not in matrix_csv_text(obj)
 
 
-def test_json_writer():
-    data = json.loads(dumps_json({"S": Dyadic(5, 1), "values": [Dyadic(1, 2)]}))
+def test_dumps_json_takes_dyadics_formatted():
+    # a report formats its dyadics with format_dyadic; dumps_json has no hook that would
+    data = json.loads(dumps_json({"S": format_dyadic(Dyadic(5, 1)), "values": [format_dyadic(Dyadic(1, 2))]}))
     assert data == {"S": "5/2^1", "values": ["1/2^2"]}
+    with pytest.raises(TypeError, match="Dyadic is not JSON serializable"):
+        dumps_json({"S": Dyadic(5, 1)})
 
 
 def test_bound_report_shape():
