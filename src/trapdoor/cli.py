@@ -120,7 +120,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     dist = enumeration.generate_outputs(args.i, args.s)
     if args.format == "json":
-        _emit(serialization.dumps_json(dist.to_json_dict()), args.o)
+        _emit(serialization.distribution_json(dist), args.o)
     else:
         lines = [f"input {args.i}, initial state {args.s}:"]
         for y in dist.support():

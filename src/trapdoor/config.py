@@ -82,7 +82,11 @@ def _entries(p, dim: int) -> np.ndarray | list:
     Fractions; ValueError unless it has length dim and each entry is a finite float or
     numpy float or what rational takes.  An array is checked by dtype and finiteness."""
     array = isinstance(p, np.ndarray) and p.dtype.kind in "iuf"
-    if (p.shape if array else (len(p),)) != (dim,):
+    try:
+        shape = p.shape if array else (len(p),)
+    except TypeError:
+        raise ValueError(f"distribution must be a sequence of {dim} numbers, got {p!r}") from None
+    if shape != (dim,):
         raise ValueError(f"distribution must have length {dim}")
     out = []
     for i in np.flatnonzero(~np.isfinite(p))[:1] if array else range(dim):
@@ -95,9 +99,18 @@ def _entries(p, dim: int) -> np.ndarray | list:
 
 
 def probabilities(p, dim: int) -> np.ndarray:
-    """p as a new float64 vector clipped at 0; ValueError for an entry below
-    -1e-12 or a sum off 1 by more than 1e-9."""
-    arr = np.asarray(_entries(p, dim), dtype=float)
+    """p as a new float64 vector clipped at 0; ValueError for an entry past the
+    float range or below -1e-12, or a sum off 1 by more than 1e-9."""
+    entries = _entries(p, dim)
+    try:
+        arr = np.asarray(entries, dtype=float)
+    except OverflowError:  # an int or Fraction entry past the float range
+        for i, v in enumerate(entries):
+            try:
+                float(v)
+            except OverflowError:
+                raise ValueError(f"distribution entry {i} is past the float range") from None
+        raise
     if arr.min() < -1e-12:
         raise ValueError("distribution has a negative entry")
     if abs(arr.sum() - 1.0) > 1e-9:

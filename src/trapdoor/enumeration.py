@@ -11,21 +11,35 @@ the input", halving the likelihood on both branches.
 
 generate_outputs makes the same choices as that recursion, but level by
 level instead of depth first, the way all permutations of a string can be
-grown one position at a time for every prefix at once.  Its frontier (from
+grown one position at a time for every prefix at once.  A frontier (from
 _start) holds, for each ball that can be left in the box, the output
 prefixes whose paths leave it there and how often each path halved its
 likelihood.  _step takes input bit x: prefixes that left x in the box gain x
 (forced); those that left the other ball s branch, keeping s with x appended
 or leaving x with s appended, each with one more halving: four list
-comprehensions per bit, not one call per path.  As _step leaves its argument
-unchanged, enumerate_all walks the input trie depth first, two extensions
+comprehensions per bit, not one call per path.  _step is the one statement
+of the channel law.
+
+As the channel is finite-state, the frontier of an input is the composition
+of the frontiers of its chunks, each chunk read from the ball the previous
+one left.  generate_outputs reads the input 8 bits at a time through a
+table mapping (ball, chunk of at most 8 bits) to that chunk's frontier from
+an empty prefix; each entry is one _step from the entry of its chunk
+without the last bit.  The table is filled on first use, never at import,
+and holds at most 2 * (2**9 - 2) = 1020 entries.  The first chunk's
+frontier is its entry; each later chunk extends every path once by every
+path of its entry (_compose).  _package turns the last frontier into
+likelihoods 2**-halvings through one tuple of Dyadic(1, h), h = 0..n, per
+input length n, cached on first use.  As _step leaves its argument unchanged,
+enumerate_all walks the input trie depth first with it, two extensions
 sharing each prefix's frontier, and returns 2**n P(n, s0) in one integer
-array.  _package turns a last frontier into likelihoods 2**-halvings, one
-Dyadic per count.  The tests keep the depth-first recursion as reference.
+array.  The tests keep the depth-first recursion as reference.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -95,15 +109,55 @@ def _step(frontier: dict, x: str) -> dict[str, tuple[list[str], list[int]]]:
     return {x: (grown, h_same), other: (diff, h_diff)}
 
 
+class _Chunks(dict):
+    """(ball, chunk) -> the frontier of chunk read from ball with no prefix, made on the
+    first lookup by one _step from the entry of the chunk without its last bit.  The
+    outputs are interned: the 510 distinct ones stand for about 20000 paths.  Filling
+    is idempotent, so threads that race on a missing entry store equal frontiers."""
+
+    def __missing__(self, key: tuple[str, str]) -> dict:
+        ball, chunk = key
+        start = self[ball, chunk[:-1]] if len(chunk) > 1 else _start(int(ball))
+        frontier = self[key] = {
+            end: (list(map(sys.intern, outs)), halvings)
+            for end, (outs, halvings) in _step(start, chunk[-1]).items()
+        }
+        return frontier
+
+
+_CHUNK = 8  # input bits per table entry: 2 * (2**(_CHUNK + 1) - 2) = 1020 entries at most
+_chunks = _Chunks()
+
+
+@functools.cache
+def _likelihoods(n: int) -> tuple[Dyadic, ...]:
+    """Dyadic(1, h) for h = 0..n: a path through n input bits halves at most n times."""
+    return tuple(Dyadic(1, h) for h in range(n + 1))
+
+
+def _compose(frontier: dict, chunk: str) -> dict[str, tuple[list[str], list[int]]]:
+    """The frontier after chunk: each path extended once by every path of chunk read from its ball."""
+    grown = {"0": ([], []), "1": ([], [])}
+    for ball, (prefixes, halvings) in frontier.items():
+        if prefixes:
+            for end, (outs, dhs) in _chunks[ball, chunk].items():
+                ps, hs = grown[end]
+                ps += [p + o for p in prefixes for o in outs]
+                hs += [h + d for h in halvings for d in dhs]
+    return grown
+
+
 def _package(bits: str, s0: int, frontier: dict) -> OutputDistribution:
     """The frontier after the last input bit as an exact distribution over outputs."""
-    (outputs, halvings), (more, h_more) = frontier["0"], frontier["1"]
-    halvings = halvings + h_more
-    likelihood = {h: Dyadic(1, h) for h in set(halvings)}
-    acc = dict(zip(outputs + more, map(likelihood.__getitem__, halvings)))
+    acc: dict[str, Dyadic] = {}
+    paths = 0
+    likelihood = _likelihoods(len(bits))
+    for outputs, halvings in frontier.values():
+        acc.update(zip(outputs, [likelihood[h] for h in halvings]))
+        paths += len(halvings)
     # distinctness of outputs across paths is provable; comparing the merged
     # keys with the path count turns that proof into a runtime check
-    if len(acc) != len(halvings):
+    if len(acc) != paths:
         raise AssertionError("two recursion paths produced the same output string; "
                              "outputs are expected to be pairwise distinct")
     return OutputDistribution(bits, s0, acc)
@@ -112,13 +166,14 @@ def _package(bits: str, s0: int, frontier: dict) -> OutputDistribution:
 def generate_outputs(bits: str, s0: int) -> OutputDistribution:
     """All feasible outputs for the given input string and initial state, with
     exact likelihoods: an unequal input/state step branches and halves them,
-    taken for every output prefix at once (see the module docstring)."""
+    taken for every output prefix at once, a chunk of input bits at a time
+    (see the module docstring)."""
     config.check_bits(bits)
     s0 = config.check_state(s0)
     config.check_cap(len(bits), config.INPUT_CAP_ENV, "worst-case support is 2**{n}", "input length")
-    frontier = _start(s0)
-    for x in bits:
-        frontier = _step(frontier, x)
+    frontier = _chunks[str(s0), bits[:_CHUNK]]
+    for i in range(_CHUNK, len(bits), _CHUNK):
+        frontier = _compose(frontier, bits[i : i + _CHUNK])
     return _package(bits, s0, frontier)
 
 

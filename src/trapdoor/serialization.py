@@ -19,6 +19,7 @@ import math
 import re
 import struct
 import zlib
+from json.encoder import encode_basestring_ascii as _json_str  # what json.dumps calls for a str
 from pathlib import Path
 from typing import Any, Callable, Iterator, Union
 
@@ -153,6 +154,23 @@ def read_matrix_csv(path: Union[str, Path]) -> Matrix:
 
 def dumps_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+
+
+def distribution_json(dist) -> str:
+    """dumps_json(dist.to_json_dict()), byte for byte, for an OutputDistribution.
+
+    json's indented encoder is pure Python and takes most of the time of a
+    large support; here each output's record is laid out in the same
+    two-space form, its fields C-encoded by json's string encoder.  A
+    distribution has at least one output, so the list is never empty.
+    """
+    d = dist.to_json_dict()
+    records = ",\n".join([
+        f'    {{\n      "y": {_json_str(r["y"])},\n      "p": {_json_str(r["p"])}\n    }}'
+        for r in d["outputs"]
+    ])
+    return (f'{{\n  "input": {_json_str(d["input"])},\n  "state": {json.dumps(d["state"])},\n'
+            f'  "outputs": [\n{records}\n  ]\n}}\n')
 
 
 def write_pgm(data: bytes, path: Union[str, Path]) -> None:

@@ -417,6 +417,35 @@ def test_distribution_length_has_one_message(name):
 
 
 @pytest.mark.parametrize(
+    "name, kind",
+    [(name, kind) for name in sorted(DISTRIBUTION_ENTRY_POINTS) for kind in ("None", "float", "iterator")
+     if (name, kind) != ("blahut_arimoto", "None")],  # init=None is the uniform start
+)
+def test_a_distribution_without_a_length_is_a_value_error(name, kind):
+    p = {"None": None, "float": 0.5, "iterator": iter([0.5, 0.5])}[kind]
+    with pytest.raises(ValueError, match=r"^distribution must be a sequence of 2 numbers, got "):
+        DISTRIBUTION_ENTRY_POINTS[name](p)
+
+
+@pytest.mark.parametrize("name", ["mutual_information", "blahut_arimoto"])
+@pytest.mark.parametrize(
+    "p, entry",
+    [([10**400, 0], 0), ([1, -(10**400)], 1), ([Fraction(10**400, 3), 1], 0)],
+    ids=["int", "negative-int", "fraction"],
+)
+def test_a_float_entry_past_the_float_range_is_a_value_error(name, p, entry):
+    with pytest.raises(ValueError, match=rf"^distribution entry {entry} is past the float range$"):
+        DISTRIBUTION_ENTRY_POINTS[name](p)
+
+
+def test_exact_entry_points_take_entries_past_the_float_range():
+    # the exact rule has no float range: 10**400 and 0 pass, and the sum check names the total
+    assert bounds.constraint_check(1, 0, [10**400, 0])
+    with pytest.raises(ValueError, match="^distribution must sum to exactly 1$"):
+        optimize.mutual_information_exact(_p(1, 0), [10**400, 0])
+
+
+@pytest.mark.parametrize(
     "p, want",
     [
         ([Fraction(3, 4), Fraction(1, 4)], [0.75, 0.25]),

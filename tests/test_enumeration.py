@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +79,54 @@ def test_likelihoods_sum_to_one_and_are_halving_powers(case):
 )
 def test_matches_depth_first_recursion(bits, s0):
     assert generate_outputs(bits, s0).outputs == generate_outputs_dfs(bits, s0)
+
+
+# -- chunk composition: 8 input bits per table entry ----------------------------------
+
+
+@pytest.mark.parametrize("s0", (0, 1))
+def test_every_input_up_to_length_11_matches_the_recursion(s0):
+    # lengths 9 to 11 end in a second chunk read from either ball
+    for n in range(1, 12):
+        for i in range(1 << n):
+            bits = format(i, f"0{n}b")
+            assert generate_outputs(bits, s0).outputs == generate_outputs_dfs(bits, s0), bits
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.lists(st.sampled_from("01"), min_size=15, max_size=18).map("".join),
+    st.integers(min_value=0, max_value=1),
+)
+def test_inputs_across_the_second_chunk_boundary_match_the_recursion(bits, s0):
+    assert generate_outputs(bits, s0).outputs == generate_outputs_dfs(bits, s0)
+
+
+def test_an_input_past_the_default_cap(monkeypatch):
+    # 1**26 from ball 0 has 27 outputs, one with 26 halvings: past every size the default cap suggests
+    monkeypatch.setenv("TRAPDOOR_INPUT_CAP", "26")
+    bits = "1" * 26
+    dist = generate_outputs(bits, 0)
+    assert dist.outputs == generate_outputs_dfs(bits, 0)
+    assert dist.outputs["1" * 26] == Dyadic(1, 26)
+
+
+def test_the_chunk_table_is_bounded():
+    from trapdoor.enumeration import _chunks
+
+    for n in range(1, 11):
+        for i in range(1 << n):
+            for s0 in (0, 1):
+                generate_outputs(format(i, f"0{n}b"), s0)
+    # every (ball, chunk of 1 to 8 bits) has been read as a first chunk: 2 * (2**9 - 2) keys
+    assert len(_chunks) == 1020
+    assert {ball for ball, _ in _chunks} == {"0", "1"} and {len(c) for _, c in _chunks} == set(range(1, 9))
+
+
+def test_the_chunk_table_is_empty_after_import():
+    code = "import trapdoor.enumeration as e; assert not e._chunks and e._likelihoods.cache_info().currsize == 0"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # -- the two routes through the paper's second view -------------------------------

@@ -214,6 +214,14 @@ def test_ba_never_certifies_a_missed_dead_output(n, pairs):
     assert not r.converged or abs(r.capacity_per_letter - best) <= 1e-8
 
 
+def test_ba_grows_a_subnormal_mass_that_alone_feeds_an_output(pairs):
+    # q_1 = 5e-311 is positive, so D_1 is finite and p_1 is scaled back up;
+    # a product that dropped subnormal masses would read output 1 as dead
+    r = blahut_arimoto(pairs(1)[0], tol=1e-10, max_iter=10_000, init=[1 - 1e-310, 1e-310])
+    assert r.converged
+    assert abs(r.capacity_per_letter - math.log2(1.25)) < 1e-9
+
+
 def test_ba_zero_inputs_stay_zero(pairs):
     P = pairs(2)[0]
     r = blahut_arimoto(P, tol=1e-9, max_iter=10_000, init=[0.5, 0.0, 0.0, 0.5])

@@ -224,6 +224,20 @@ def test_enumeration_report(pairs):
     assert {"y": "010", "p": "1/2^3"} in rec["outputs"]
 
 
+@pytest.mark.parametrize("bits, s0", [("0", 0), ("1", 0), ("101", 0), ("0110", 1), ("10" * 6, 0), ("1" * 17, 1)])
+def test_distribution_json_is_the_indented_json_byte_for_byte(bits, s0):
+    dist = generate_outputs(bits, s0)
+    assert serialization.distribution_json(dist) == dumps_json(dist.to_json_dict())
+
+
+def test_distribution_json_escapes_like_json():
+    from trapdoor.enumeration import OutputDistribution
+
+    # not an output of the channel, but a valid distribution whose strings need escaping
+    dist = OutputDistribution('"\\', 1, {'\u00e9"': Dyadic(1, 1), "\n\t": Dyadic(1, 1)})
+    assert serialization.distribution_json(dist) == dumps_json(dist.to_json_dict())
+
+
 def test_write_pgm_deterministic(tmp_path):
     from trapdoor.fractal import ifs_iterate, render_pgm, sierpinski_ifs, unit_grid
 
