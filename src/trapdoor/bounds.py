@@ -63,9 +63,7 @@ class _ExactVector:
 
     def __init__(self, n: int, values) -> None:
         self.array = _int64_entries(values)
-        self.n = config.integer(n, "block length")
-        if len(self.array) != 1 << self.n:
-            raise ValueError("length must be 2**n")
+        self.n = config.check_block_length(n, len(self.array), "length")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, s0={self.s0})"

@@ -41,9 +41,7 @@ class ChannelMatrix:
     __slots__ = ("n", "s0", "data")
 
     def __init__(self, n: int, s0: int, data: DyadicMatrix) -> None:
-        self.n = n = config.integer(n, "block length")
-        if data.dim != 1 << n:
-            raise ValueError(f"expected dimension {1 << n}, got {data.dim}")
+        self.n = config.check_block_length(n, data.dim, "dimension")
         self.s0 = config.check_state(s0)
         self.data = data
 

@@ -165,6 +165,15 @@ def check_per_letter(n: int) -> int:
     return n
 
 
+def check_block_length(n, size: int, what: str) -> int:
+    """n as a plain int; ValueError unless n >= 0 and size == 2**n.  n is compared with
+    the bit length of size first, so an n from outside never sizes a shift."""
+    n = integer(n, "block length")
+    if n < 0 or size.bit_length() != n + 1 or size & (size - 1):
+        raise ValueError(f"{what} {size} is not 2**n for block length n = {n}")
+    return n
+
+
 def check_state(s0) -> int:
     """The initial state as a plain int; anything but an integer 0 or 1 raises ValueError."""
     try:

@@ -11,29 +11,24 @@ the input", halving the likelihood on both branches.
 
 generate_outputs makes the same choices as that recursion, but level by
 level instead of depth first, the way all permutations of a string can be
-grown one position at a time for every prefix at once.  A frontier (from
-_start) holds, for each ball that can be left in the box, the output
-prefixes whose paths leave it there and how often each path halved its
-likelihood.  _step takes input bit x: prefixes that left x in the box gain x
-(forced); those that left the other ball s branch, keeping s with x appended
-or leaving x with s appended, each with one more halving: four list
-comprehensions per bit, not one call per path.  _step is the one statement
-of the channel law.
+grown one position at a time for every prefix at once.  A frontier holds,
+for each ball that can be left in the box, the output prefixes whose paths
+leave it there and how often each path halved its likelihood.
 
 As the channel is finite-state, the frontier of an input is the composition
 of the frontiers of its chunks, each chunk read from the ball the previous
-one left.  generate_outputs reads the input 8 bits at a time through a
-table mapping (ball, chunk of at most 8 bits) to that chunk's frontier from
-an empty prefix; each entry is one _step from the entry of its chunk
-without the last bit.  The table is filled on first use, never at import,
-and holds at most 2 * (2**9 - 2) = 1020 entries.  The first chunk's
-frontier is its entry; each later chunk extends every path once by every
-path of its entry (_compose).  _package turns the last frontier into
-likelihoods 2**-halvings through one tuple of Dyadic(1, h), h = 0..n, per
-input length n, cached on first use.  As _step leaves its argument unchanged,
-enumerate_all walks the input trie depth first with it, two extensions
-sharing each prefix's frontier, and returns 2**n P(n, s0) in one integer
-array.  The tests keep the depth-first recursion as reference.
+one left.  A table maps (ball, chunk of at most 8 bits) to that chunk's
+frontier from an empty prefix.  Its one-bit entries are the one statement of
+the channel law; every longer entry is the entry of its chunk without the
+last bit, extended by that bit (_compose).  The table is filled on first
+use, never at import, and holds at most 2 * (2**9 - 2) = 1020 entries.
+_frontier reads an input 8 bits at a time: the first chunk's frontier is its
+entry, and each later chunk extends every path once by every path of its
+entry.  _package turns the last frontier into likelihoods 2**-halvings
+through one tuple of Dyadic(1, h), h = 0..n, per input length n, cached on
+first use.  enumerate_all reads the frontier of every input of length n and
+returns 2**n P(n, s0) in one integer array.  The tests keep the depth-first
+recursion as reference.
 """
 
 from __future__ import annotations
@@ -92,35 +87,23 @@ class OutputDistribution:
         }
 
 
-def _start(s0: int) -> dict[str, tuple[list[str], list[int]]]:
-    """frontier[s] = (prefixes, halvings) of the paths that leave ball s in the box, before any input."""
-    return {str(s0): ([""], [0]), str(1 - s0): ([], [])}
-
-
-def _step(frontier: dict, x: str) -> dict[str, tuple[list[str], list[int]]]:
-    """The frontier after input bit x; ``frontier`` itself is left as it was."""
-    other = "1" if x == "0" else "0"
-    (same, h_same), (diff, h_diff) = frontier[x], frontier[other]
-    grown = [p + x for p in same]
-    if diff:
-        h_diff = [h + 1 for h in h_diff]
-        grown += [p + other for p in diff]
-        h_same, diff = h_same + h_diff, [p + x for p in diff]
-    return {x: (grown, h_same), other: (diff, h_diff)}
-
-
 class _Chunks(dict):
     """(ball, chunk) -> the frontier of chunk read from ball with no prefix, made on the
-    first lookup by one _step from the entry of the chunk without its last bit.  The
-    outputs are interned: the 510 distinct ones stand for about 20000 paths.  Filling
-    is idempotent, so threads that race on a missing entry store equal frontiers."""
+    first lookup: a one-bit entry by the channel law, a longer one by composing the entry
+    of the chunk without its last bit with that bit.  The outputs are interned: the 510
+    distinct ones stand for about 20000 paths.  Filling is idempotent, so threads that
+    race on a missing entry store equal frontiers."""
 
     def __missing__(self, key: tuple[str, str]) -> dict:
         ball, chunk = key
-        start = self[ball, chunk[:-1]] if len(chunk) > 1 else _start(int(ball))
+        if len(chunk) > 1:
+            frontier = _compose(self[ball, chunk[:-1]], chunk[-1])
+        elif chunk == ball:  # the output is forced and the ball stays
+            frontier = {ball: ([ball], [0])}
+        else:  # emit the input and keep the ball, or emit the ball and keep the input: each halves
+            frontier = {ball: ([chunk], [1]), chunk: ([ball], [1])}
         frontier = self[key] = {
-            end: (list(map(sys.intern, outs)), halvings)
-            for end, (outs, halvings) in _step(start, chunk[-1]).items()
+            end: (list(map(sys.intern, outs)), halvings) for end, (outs, halvings) in frontier.items()
         }
         return frontier
 
@@ -163,6 +146,14 @@ def _package(bits: str, s0: int, frontier: dict) -> OutputDistribution:
     return OutputDistribution(bits, s0, acc)
 
 
+def _frontier(bits: str, s0: int) -> dict[str, tuple[list[str], list[int]]]:
+    """The frontier of a non-empty input read from ball s0, a chunk of input bits at a time."""
+    frontier = _chunks[str(s0), bits[:_CHUNK]]
+    for i in range(_CHUNK, len(bits), _CHUNK):
+        frontier = _compose(frontier, bits[i : i + _CHUNK])
+    return frontier
+
+
 def generate_outputs(bits: str, s0: int) -> OutputDistribution:
     """All feasible outputs for the given input string and initial state, with
     exact likelihoods: an unequal input/state step branches and halves them,
@@ -171,26 +162,20 @@ def generate_outputs(bits: str, s0: int) -> OutputDistribution:
     config.check_bits(bits)
     s0 = config.check_state(s0)
     config.check_cap(len(bits), config.INPUT_CAP_ENV, "worst-case support is 2**{n}", "input length")
-    frontier = _chunks[str(s0), bits[:_CHUNK]]
-    for i in range(_CHUNK, len(bits), _CHUNK):
-        frontier = _compose(frontier, bits[i : i + _CHUNK])
-    return _package(bits, s0, frontier)
+    return _package(bits, s0, _frontier(bits, s0))
 
 
 def enumerate_all(n: int, s0: int) -> np.ndarray:
-    """2**n P(n, s0) as an integer array whose row x enumerates input x, grown over the
-    input trie with the step of generate_outputs (see the module docstring)."""
+    """2**n P(n, s0) as an integer array whose row x enumerates input x, read from the
+    chunk table input by input (see the module docstring)."""
     n = config.check_cap(n, config.MATRIX_CAP_ENV, "its array stores 4**{n} entries")
     s0 = config.check_state(s0)
+    if n == 0:
+        return np.ones((1, 1), dtype=dtype_for(1))
     cells, entries = [], []  # flat indices x * 2**n + y and their values 2**(n - halvings)
-    stack = [(0, 0, _start(s0))]  # (depth, input prefix as an integer, frontier)
-    while stack:
-        depth, x, frontier = stack.pop()
-        if depth < n:
-            stack += [(depth + 1, 2 * x + int(b), _step(frontier, b)) for b in "01"]
-            continue
-        for outputs, halvings in frontier.values():
-            cells += [x << n | int(y or "0", 2) for y in outputs]
+    for x in range(1 << n):
+        for outputs, halvings in _frontier(format(x, f"0{n}b"), s0).values():
+            cells += [x << n | int(y, 2) for y in outputs]
             entries += [1 << n - h for h in halvings]
     table = np.zeros(1 << 2 * n, dtype=dtype_for(1 << n))
     table[cells] = entries

@@ -19,10 +19,11 @@ product is used unless that bound has been checked.  When it fails, the
 operands are cut into limbs (signed digits in base 2**L) chosen so that each
 pair of limbs meets it, and the shifted limb products are summed in int64, or
 in Python ints once the bound on the result leaves int64.  The left factor
-is converted one block of rows at a time, so no float copy of it is ever
-whole; the right factor is cut once, for the largest row sum of them all.
-Each block of rows is multiplied only over the span of columns that holds its
-non-zero entries, against the same rows of the right factor: the entries left
+is read one block of rows at a time, whatever its memory layout: a first
+pass takes each block's largest row sum and the span of columns holding its
+non-zero entries, and the right factor is cut once, for the largest row sum
+of them all.  Each block is then converted to float64 and multiplied only
+over its span, against the same rows of the right factor: the entries left
 out are zero, so block triangular factors skip their zero blocks.  A
 matrix-vector product is the same product with one column.
 """
@@ -60,10 +61,14 @@ def _working(x: np.ndarray, top: int) -> np.ndarray:
     return x.astype(np.int64 if top < _INT64_LIMIT else object, copy=False)
 
 
+def _forward(x: np.ndarray) -> np.ndarray:
+    """The same entries with every stride forward, where numpy reduces fastest."""
+    return x[tuple(slice(None, None, -1 if s < 0 else 1) for s in x.strides)]
+
+
 def max_abs(x: np.ndarray) -> int:
     """The largest |entry| of an array as a Python int, 0 when it is empty."""
-    # the same entries with every stride forward, where numpy reduces fastest
-    x = x[tuple(slice(None, None, -1 if s < 0 else 1) for s in x.strides)]
+    x = _forward(x)
     return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
@@ -83,52 +88,14 @@ def _limbs(x: np.ndarray, width: int) -> list[np.ndarray]:
     return limbs
 
 
-def _abs_sums(x: np.ndarray, axis: int, wide: bool) -> np.ndarray:
-    """Sums of |x| along an axis, in int64, or in Python ints when wide."""
-    return np.abs(x.astype(object)).sum(axis=axis) if wide else np.abs(x, dtype=np.int64).sum(axis=axis)
-
-
-def _block_stats(a: np.ndarray) -> list[tuple[int, int, int]]:
-    """(ra, lo, hi) for each block of _BLOCK_ROWS rows of a: ra is the block's
-    largest row sum of |a| as a Python int, and every non-zero entry of the
-    block lies in columns [lo, hi).
-
-    Both reductions run over a's forward-strided view; a column-major view (a
-    transposed array) is reduced as its row-major base, a block of base rows at
-    a time, where a's row sums are column sums.
-    """
-    rows, cols = a.shape
-    blocks = [(start, min(start + _BLOCK_ROWS, rows)) for start in range(0, rows, _BLOCK_ROWS)]
-    if not a.size:
-        return [(0, 0, 0)] * len(blocks)
-    # row sums in int64 unless a bound on them leaves it; int16 and int32 need no scan
-    wide = a.dtype == object or (
-        (np.iinfo(a.dtype).max + 1) * cols >= _INT64_LIMIT and max_abs(a) * cols >= _INT64_LIMIT
-    )
-    flip_rows, flip_cols = a.strides[0] < 0, a.strides[1] < 0
-    f = a[:: -1 if flip_rows else 1, :: -1 if flip_cols else 1]
-    if flip_rows:  # the same blocks as rows of f, in f's order
-        blocks = [(rows - hi, rows - lo) for lo, hi in reversed(blocks)]
-    if rows == 1 or f.strides[0] >= f.strides[1]:  # a row vector's view may step 0 bytes per row
-        stats = [(_abs_sums(f[lo:hi], 1, wide), f[lo:hi].any(axis=0)) for lo, hi in blocks]
-    else:
-        base = f.T
-        sums = np.zeros(rows, dtype=object if wide else np.int64)
-        used = np.empty((len(blocks), cols), dtype=bool)
-        firsts = [lo for lo, _ in blocks]
-        for k in range(0, cols, _BLOCK_ROWS):
-            chunk = base[k : k + _BLOCK_ROWS]
-            sums += _abs_sums(chunk, 0, wide)
-            used[:, k : k + _BLOCK_ROWS] = np.logical_or.reduceat(chunk != 0, firsts, axis=1).T
-        stats = [(sums[lo:hi], block_used) for (lo, hi), block_used in zip(blocks, used)]
-    out = []
-    for block_sums, block_used in stats[::-1] if flip_rows else stats:
-        idx = np.flatnonzero(block_used)
-        lo, hi = (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
-        if flip_cols:
-            lo, hi = cols - hi, cols - lo
-        out.append((int(block_sums.max()) if hi > lo else 0, lo, hi))
-    return out
+def _max_row_sum(x: np.ndarray) -> int:
+    """The largest row sum of |x| as a Python int, summed in int64 unless a bound on the sums leaves it."""
+    cols = x.shape[1]
+    if x.dtype == object or (  # int16 and int32 need no scan of x for the bound
+        (np.iinfo(x.dtype).max + 1) * cols >= _INT64_LIMIT and max_abs(x) * cols >= _INT64_LIMIT
+    ):
+        return int(np.abs(x.astype(object)).sum(axis=1).max())
+    return int(np.abs(x, dtype=np.int64).sum(axis=1).max())
 
 
 def _block_product(a: np.ndarray, ra: int, mb: int, b_limbs: list, b_width: int, lo: int) -> np.ndarray:
@@ -146,7 +113,7 @@ def _block_product(a: np.ndarray, ra: int, mb: int, b_limbs: list, b_width: int,
     else:
         # limb row sums stay below inner * 2**a_width <= 2**_ROW_SUM_BITS
         a_width = max(1, _ROW_SUM_BITS - a.shape[1].bit_length())
-        a_limbs = [(v.astype(np.float64), int(_abs_sums(v, 1, False).max())) for v in _limbs(a, a_width)]
+        a_limbs = [(v.astype(np.float64), int(np.abs(v).sum(axis=1).max())) for v in _limbs(a, a_width)]
     wide = ra * mb >= _INT64_LIMIT  # |any partial sum of shifted limb products| <= ra * mb
     acc = None
     for s, (a_f, a_sum) in enumerate(a_limbs):
@@ -174,12 +141,17 @@ def _row_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, np.ndarray]
     block's limbs have row sums below 2**_ROW_SUM_BITS, and below the largest
     row sum of |a|, so limbs of b cut once for that bound serve all blocks.
     """
-    stats = _block_stats(a)
-    bits = min(max((ra for ra, _, _ in stats), default=0).bit_length(), _ROW_SUM_BITS)
+    blocks = []  # (first row, largest row sum of |block|, column span) of each block
+    for start in range(0, len(a), _BLOCK_ROWS):
+        block = a[start : start + _BLOCK_ROWS]
+        used = np.flatnonzero(_forward(block).any(axis=0)[:: -1 if block.strides[1] < 0 else 1])
+        lo, hi = (int(used[0]), int(used[-1]) + 1) if used.size else (0, 0)
+        blocks.append((start, _max_row_sum(_forward(block[:, lo:hi])), lo, hi))
+    bits = min(max((ra for _, ra, _, _ in blocks), default=0).bit_length(), _ROW_SUM_BITS)
     mb = max_abs(b)
     width = max(1, min(53 - bits, mb.bit_length()))
     b_limbs = [(v.astype(np.float64), max_abs(v)) for v in _limbs(b, width)]
-    for start, (ra, lo, hi) in zip(range(0, len(a), _BLOCK_ROWS), stats):
+    for start, ra, lo, hi in blocks:
         yield start, _block_product(a[start : start + _BLOCK_ROWS, lo:hi], ra, mb, b_limbs, width, lo)
 
 

@@ -218,7 +218,7 @@ def _check_enumeration(ctx: _Context) -> str:
     for n in range(1, top + 1):
         for s0 in (0, 1):
             P = ctx.matrix(n, s0).data
-            # every input of length n at once, over the input trie, as 2^n P
+            # every input of length n at once, from the chunk table, as 2^n P
             table, scaled = enumeration.enumerate_all(n, s0), P.with_exp(n).array
             if not np.array_equal(table, scaled):
                 x = int((table != scaled).any(axis=1).argmax())

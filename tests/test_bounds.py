@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -95,6 +96,13 @@ def test_entropy_vector_validation():
         EntropyVector(1, 0, [2, 2])  # all-zeros input must carry 0 (entries are h * 2**n)
     with pytest.raises(ValueError):
         EntropyVector(1, 0, [0, 6])  # 3, above n
+
+
+@pytest.mark.parametrize("n", [10**8, 10**12, -1, 1])
+@pytest.mark.parametrize("make", [EntropyVector, OmegaVector])
+def test_a_block_length_that_does_not_match_the_length_is_rejected(make, n):
+    with pytest.raises(ValueError, match=re.escape(f"length 1 is not 2**n for block length n = {n}")):
+        make(n, 0, [0])
 
 
 @pytest.mark.parametrize("n", range(0, 15))

@@ -129,17 +129,17 @@ def test_the_chunk_table_is_empty_after_import():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-# -- the two routes through the paper's second view -------------------------------
+# -- the paper's second view against the block recursion -----------------------
 
 
 @pytest.fixture(scope="module")
-def tables():
-    """enumerate_all(n, s0), built once per (n, s0) for this module."""
+def channels():
+    """build_channel_matrix(n, s0), built once per (n, s0) for this module."""
     cache = {}
 
     def get(n, s0):
         if (n, s0) not in cache:
-            cache[(n, s0)] = enumerate_all(n, s0)
+            cache[(n, s0)] = build_channel_matrix(n, s0)
         return cache[(n, s0)]
 
     yield get
@@ -151,9 +151,11 @@ def tables():
     st.lists(st.sampled_from("01"), min_size=1, max_size=12).map("".join),
     st.integers(min_value=0, max_value=1),
 )
-def test_generate_outputs_is_a_row_of_the_trie_walk(tables, bits, s0):
+def test_generate_outputs_is_a_row_of_the_block_recursion(channels, bits, s0):
     n = len(bits)
-    row = tables(n, s0)[int(bits, 2)]
+    P = channels(n, s0)
+    assert P.data.exp == n  # each entry 2**-halvings stored as 2**(n - halvings)
+    row = P.data.array[int(bits, 2)]
     want = {format(y, f"0{n}b"): Dyadic(int(v), n) for y, v in enumerate(row.tolist()) if v}
     assert generate_outputs(bits, s0).outputs == want
 
@@ -161,6 +163,7 @@ def test_generate_outputs_is_a_row_of_the_trie_walk(tables, bits, s0):
 @pytest.mark.parametrize("s0", (0, 1))
 @pytest.mark.parametrize("n", range(11))
 def test_trie_walk_equals_the_block_recursion(n, s0):
+    # enumerate_all, every input's frontier read from the chunk table, against the matrix
     table = enumerate_all(n, s0)
     assert table.shape == (1 << n, 1 << n) and table.dtype.kind == "i"
     assert np.array_equal(table, build_channel_matrix(n, s0).data.with_exp(n).array)

@@ -112,6 +112,15 @@ def test_read_errors(tmp_path):
         read_matrix_csv(not_stochastic)
 
 
+@pytest.mark.parametrize("n", ["100000000", "1000000000000", "-1", "2"])
+def test_read_rejects_a_block_length_that_does_not_match_the_dimension(tmp_path, n):
+    # n is compared with dim before any 2**n is formed, so a huge or negative n says so
+    path = tmp_path / "p1.csv"
+    path.write_text(matrix_csv_text(build_channel_matrix(1, 0)).replace("n=1,", f"n={n},"))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: dimension 2 is not 2**n for block length n = {n}")):
+        read_matrix_csv(path)
+
+
 def test_read_rejects_a_stochastic_matrix_that_is_not_the_channel(tmp_path):
     # the identity is stochastic with power-of-two entries, but it is not P(2, 0)
     path = tmp_path / "identity.csv"
