@@ -56,13 +56,20 @@ class OutputDistribution:
     def __post_init__(self) -> None:
         # integer arithmetic on (num, exp): a power of 1/2 is num = 1 once
         # Dyadic has normalized it, and the sum is taken over 2**top
+        object.__setattr__(self, "initial_state", config.check_state(self.initial_state))
         n = len(self.input)
         values = self.outputs.values()
-        if set(map(len, self.outputs)) - {n} or {p.num for p in values} - {1}:
+        try:
+            clean = not (set(map(len, self.outputs)) - {n} or {p.num for p in values} - {1})
+        except (TypeError, AttributeError):  # a key without a length, or a likelihood without num
+            clean = False
+        if not clean:
             # name the first offending entry, length before likelihood
             for y, p in self.outputs.items():
-                if len(y) != n:
+                if not hasattr(y, "__len__") or len(y) != n:
                     raise ValueError("output length must match input length")
+                if not isinstance(p, Dyadic):
+                    raise ValueError(f"likelihood {p!r} is not a Dyadic")
                 if p.num != 1:
                     raise ValueError(f"likelihood {p} is not a positive power of 1/2")
         exps = Counter([p.exp for p in values])

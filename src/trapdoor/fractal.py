@@ -107,7 +107,10 @@ class ShapeGrid:
 
     def __init__(self, resolution: int, codes: list[list[int]] | np.ndarray) -> None:
         self.resolution = resolution = config.integer(resolution, "resolution")
-        side = 1 << resolution
+        if resolution < 0:
+            raise ValueError("resolution must be non-negative")
+        # no array side reaches 2**63: a larger resolution is named, not shifted, and matches no shape
+        side = 1 << resolution if resolution < 63 else f"2**{resolution}"
         arr = codes if isinstance(codes, np.ndarray) else np.array(codes, dtype=object)
         if arr.shape != (side, side):
             raise ValueError(f"expected a {side}x{side} grid")

@@ -15,11 +15,12 @@ forms, and the numerical simplex certification.
 The second-to-last optimizer entry follows the closed form -3*2**(n-3) at
 even lengths; at odd lengths >= 3 the exact value is -3*2**(n-5) (the block
 recursion puts weights (-4, -2) at the tail instead of (-2, 0)).  Both are
-asserted here, and the entry is negative for every n >= 2 either way.
+asserted here as one form, -3*2**(n-3-2*(n%2)), negative for every n >= 2.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,7 @@ from .channel import (
     invert_channel_matrix,
 )
 from .dyadic import Dyadic
-from .matrices import DyadicMatrix
+from .matrices import DyadicMatrix, exact_product
 
 
 @dataclass
@@ -48,26 +49,21 @@ class CheckResult:
 
 
 class _Context:
-    """Shared lazily-built matrices and inverses for one verification run."""
+    """A run's matrices and state-0 inverses, each built on first use by functools.cache."""
 
     def __init__(self, max_n: int) -> None:
         self.max_n = max_n
-        self._pairs: dict[int, tuple[ChannelMatrix, ChannelMatrix]] = {}
-        self._inverses: dict[int, DyadicMatrix] = {}
-
-    def pair(self, n: int) -> tuple[ChannelMatrix, ChannelMatrix]:
-        if n not in self._pairs:
-            self._pairs[n] = channel_pair(n)
-        return self._pairs[n]
+        self.pair = pair = functools.cache(channel_pair)
+        # the memo closes over pair, not self: a cycle would hold every matrix until gc ran
+        self._inverse0 = functools.cache(lambda n: invert_channel_matrix(pair(n)[0]))
 
     def matrix(self, n: int, s0: int) -> ChannelMatrix:
         return self.pair(n)[s0]
 
     def inverse(self, n: int, s0: int) -> DyadicMatrix:
         """P(n, s0)^-1; state 1's is the exchange view of the cached state-0 inverse."""
-        if n not in self._inverses:
-            self._inverses[n] = invert_channel_matrix(self.matrix(n, 0))
-        return exchange_conjugate(self._inverses[n]) if s0 else self._inverses[n]
+        inv = self._inverse0(n)
+        return exchange_conjugate(inv) if s0 else inv
 
 
 def _check_stochastic(ctx: _Context) -> str:
@@ -160,13 +156,13 @@ def _check_omega_recursions(ctx: _Context) -> str:
 
 
 def _check_state_coupling_identity(ctx: _Context) -> str:
-    # P(2n,1) P(2n,0)^-1 h(2n,0) == reversal of h(2n,0)
+    # P(2n,1) P(2n,0)^-1 h(2n,0) == reversal of h(2n,0), with h scaled by 2^n to integers
     ns = range(0, min(ctx.max_n, 8) + 1, 2)
     for n in ns:
-        P1 = ctx.matrix(n, 1)
-        h0 = bounds.entropy_vector_direct(ctx.matrix(n, 0)).entries
-        lhs = P1.data.matvec(ctx.inverse(n, 0).matvec(h0))
-        assert lhs == h0[::-1], f"coupling identity fails at n={n}"
+        P1, inv = ctx.matrix(n, 1).data, ctx.inverse(n, 0)
+        h = bounds.entropy_vector_direct(ctx.matrix(n, 0)).array
+        lhs = exact_product(P1.array, exact_product(inv.array, h[:, None]))
+        assert np.array_equal(lhs, h[::-1, None] << (P1.exp + inv.exp)), f"coupling identity fails at n={n}"
     return f"P(2n,1) P(2n,0)^-1 h equals reversed h, even n <= {ns[-1]}"
 
 
@@ -185,32 +181,18 @@ def _check_bound_identities(ctx: _Context) -> str:
 
 
 def _check_d_vector(ctx: _Context) -> str:
-    d1 = bounds.d_vector(1, 0, inverse=ctx.inverse(1, 0))
-    assert d1 == bounds.d_vector(1, 0), "matrix-free d differs from the dense product at n=1"
-    assert d1 == [Dyadic(3, 2), Dyadic(1, 1)], "n=1 optimizer should be [3/4, 1/2]"
-    S1 = bounds.closed_form_S(1).as_fraction()
-    assert [v.as_fraction() / S1 for v in d1] == [
-        Fraction(3, 5),
-        Fraction(2, 5),
-    ], "n=1 relaxed optimum should be [3/5, 2/5]"
-    ns = range(2, ctx.max_n + 1)
-    for n in ns:
+    for n in range(1, max(ctx.max_n, 1) + 1):  # n = 1 at max n 0 too: the detail names it
         d = bounds.d_vector(n, 0, inverse=ctx.inverse(n, 0))
         assert d == bounds.d_vector(n, 0), f"matrix-free d differs from the dense product at n={n}"
         S = bounds.closed_form_S(n)
         assert sum(d, Dyadic(0)) == S, f"sum of d differs from S at n={n}"
-        second_last = d[-2]
-        assert second_last < 0, f"d[2^n-1] should be negative at n={n}"
-        if n % 2 == 0:
-            assert second_last == Dyadic(-3, 0).shift(n - 3), (
-                f"even-length closed form -3*2^(n-3) fails at n={n}"
-            )
+        if n == 1:  # d / S with S = 5/4
+            assert d == [Dyadic(3, 2), Dyadic(1, 1)], "n=1 relaxed optimum should be [3/5, 2/5]"
         else:
-            assert second_last == Dyadic(-3, 0).shift(n - 5), (
-                f"odd-length value -3*2^(n-5) fails at n={n}"
-            )
+            k = n - 3 - 2 * (n % 2)
+            assert d[-2] == Dyadic(-3).shift(k), f"d[2^n-1] differs from -3*2^(n-{n - k}) at n={n}"
     n1, forms = "n=1 optimum [3/5, 2/5] on the simplex", "(-3*2^(n-3) even, -3*2^(n-5) odd)"
-    return f"sum d == S and d[2^n-1] < 0 for {ns[0]} <= n <= {ns[-1]} {forms}; {n1}" if ns else n1
+    return f"sum d == S and d[2^n-1] < 0 for 2 <= n <= {ctx.max_n} {forms}; {n1}" if ctx.max_n > 1 else n1
 
 
 def _check_enumeration(ctx: _Context) -> str:
@@ -226,13 +208,10 @@ def _check_enumeration(ctx: _Context) -> str:
             if n > 5:
                 continue
             # and generate_outputs itself, one input at a time
-            for i, want in enumerate(P.array.tolist()):
-                bits = format(i, f"0{n}b")
-                # likelihoods as integers at P's scale; None: finer than it, equal to no entry
-                row = [0] * len(want)
-                for y, p in enumeration.generate_outputs(bits, s0).outputs.items():
-                    row[int(y, 2)] = p.num << (P.exp - p.exp) if p.exp <= P.exp else None
-                assert row == want, f"row mismatch at n={n}, s0={s0}, x={bits}"
+            for i, row in enumerate(P.array.tolist()):
+                want = {format(y, f"0{n}b"): Dyadic(v, P.exp) for y, v in enumerate(row) if v}
+                got = enumeration.generate_outputs(format(i, f"0{n}b"), s0).outputs
+                assert got == want, f"row mismatch at n={n}, s0={s0}, x={i:0{n}b}"
     dist = enumeration.generate_outputs("101", 0)
     assert "110" not in dist.outputs, "output 110 must be infeasible for input 101"
     assert enumeration.feasibility("101", "110", 0) == 0
@@ -266,17 +245,15 @@ def _check_fractal(ctx: _Context) -> str:
 def _check_simplex_certification(ctx: _Context) -> str:
     tol = 1e-8
     details = []
-    for n in [n for n in (1, 2, 4) if n <= ctx.max_n]:
+    for n in [n for n in (1, 2, 4) if n <= max(ctx.max_n, 1)]:  # n = 1 at max n 0 too
         ok, report = optimize.verify_bound(n, 0, tol=tol)
         assert ok, f"BA capacity exceeds the bound at n={n}"
         assert bounds.constraint_check(n, 0, report.distribution, P=ctx.matrix(n, 0))
+        gap = bounds.closed_form(n) - report.capacity_per_letter
+        assert n > 1 or abs(gap) < 1e-6, "n=1 bound should be attained on the simplex"
         details.append(f"n={n}: {report.capacity_per_letter:.6f}")
-    r1 = optimize.blahut_arimoto(ctx.matrix(1, 0), tol=1e-10)
-    assert abs(r1.capacity_per_letter - bounds.closed_form(1)) < 1e-6, (
-        "n=1 bound should be attained on the simplex"
-    )
-    if not details:  # max n 0: the n = 1 run above is the only one
-        return f"n=1: {r1.capacity_per_letter:.6f} attains the bound within 1e-6"
+    if ctx.max_n == 0:
+        return f"{details[0]} attains the bound within 1e-6"
     return "; ".join(details) + f" all <= bound + {tol}"
 
 
@@ -313,16 +290,21 @@ CHECKS: list[tuple[str, Callable[[_Context], str]]] = [
 def run_checks(max_n: int = 8, names: Iterable[str] | None = None) -> list[CheckResult]:
     """Run the suite (matrix-dependent checks up to block length max_n).
 
-    Raises ValueError unless 0 <= max_n <= the matrix cap.
+    Raises ValueError unless 0 <= max_n <= the matrix cap, and for a name
+    in names that is no check's.
     """
     max_n = config.check_cap(
         max_n, config.MATRIX_CAP_ENV, "its largest P(n, s0) stores 4**{n} entries", "max n"
     )
+    known = [name for name, _ in CHECKS]
+    wanted = set(known if names is None else names)
+    unknown = sorted(wanted - set(known))
+    if unknown:
+        raise ValueError(f"unknown check names {unknown}; the checks are: {', '.join(known)}")
     ctx = _Context(max_n)
-    wanted = None if names is None else set(names)
     results = []
     for name, fn in CHECKS:
-        if wanted is not None and name not in wanted:
+        if name not in wanted:
             continue
         start = time.perf_counter()
         try:

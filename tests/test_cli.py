@@ -1,7 +1,9 @@
 import argparse
+import gc
 import json
 import os
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -337,6 +339,39 @@ def _not_converged(P, tol=1e-10, max_iter=200_000, **kwargs):
 
 def _no_exact_weights(*args, **kwargs):
     raise ArithmeticError("weights are not exact")
+
+
+def test_run_checks_rejects_unknown_names_before_any_check(monkeypatch):
+    def no_matrices(n):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "channel_pair", no_matrices)
+    with pytest.raises(ValueError) as exc:
+        verify.run_checks(1, ["exact inverses", "nope", "exact inverse"])
+    message = str(exc.value)
+    assert message.startswith("unknown check names ['exact inverse', 'nope']; the checks are: ")
+    assert message.endswith(", ".join(name for name, _ in verify.CHECKS))
+
+
+def test_run_checks_frees_its_matrices_on_return(monkeypatch):
+    # no reference cycle holds the context: its matrices go with the last reference,
+    # not at the garbage collector's next pass
+    real = verify.channel_pair
+    refs = []
+
+    def tracked(n):
+        pair = real(n)
+        refs.append(weakref.ref(pair[0].data.array))
+        return pair
+
+    monkeypatch.setattr(verify, "channel_pair", tracked)
+    gc.disable()
+    try:
+        assert all(r.ok for r in verify.run_checks(4))
+        alive = [r for r in refs if r() is not None]
+    finally:
+        gc.enable()
+    assert len(refs) == 5 and not alive
 
 
 def test_run_checks_records_internal_failures(monkeypatch):

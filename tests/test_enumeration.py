@@ -259,6 +259,8 @@ def test_json_dict_shape():
         ({"0": Dyadic(2)}, "likelihood 2 is not"),
         ({"0": Dyadic(0), "1": Dyadic(1)}, "likelihood 0 is not"),
         ({"0": Dyadic(-1, 1), "1": Dyadic(1)}, "likelihood -1/2 is not"),
+        ({"0": 1}, "likelihood 1 is not a Dyadic"),
+        ({"0": Dyadic(1, 1), "1": 0.5}, "likelihood 0.5 is not a Dyadic"),
         ({"0": Dyadic(1, 1), "1": Dyadic(1, 2)}, "likelihoods sum to 3/4, expected 1"),
         ({"0": Dyadic(1), "1": Dyadic(1, 60)}, "likelihoods sum to"),
         ({}, "likelihoods sum to 0, expected 1"),
@@ -273,3 +275,25 @@ def test_output_distribution_validation(outputs, message):
     else:
         with pytest.raises(ValueError, match=re.escape(message)):
             OutputDistribution(bits, 0, outputs)
+
+
+@pytest.mark.parametrize(
+    "state, outputs, message",
+    [
+        (7, {"0": Dyadic(1)}, "initial state must be 0 or 1"),
+        ("0", {"0": Dyadic(1)}, "initial state must be 0 or 1"),
+        (0, {0: Dyadic(1)}, "output length must match"),
+    ],
+)
+def test_output_distribution_checks_the_state_and_the_keys(state, outputs, message):
+    from trapdoor.enumeration import OutputDistribution
+
+    with pytest.raises(ValueError, match=re.escape(message)):
+        OutputDistribution("0", state, outputs)
+
+
+def test_output_distribution_stores_the_state_as_an_int():
+    from trapdoor.enumeration import OutputDistribution
+
+    dist = OutputDistribution("0", np.int64(1), {"0": Dyadic(1)})
+    assert type(dist.initial_state) is int and dist.initial_state == 1

@@ -230,6 +230,19 @@ def test_grid_rejects_out_of_range_codes(bad):
             ShapeGrid(1, np.array([[0, EMPTY], [bad, 1]], dtype=np.int64))
 
 
+@pytest.mark.parametrize(
+    "resolution, message",
+    (
+        (-1, "resolution must be non-negative"),
+        (10**6, "expected a 2**1000000x2**1000000 grid"),
+        (10**12, "expected a 2**1000000000000x2**1000000000000 grid"),
+    ),
+)
+def test_grid_checks_its_resolution_before_any_shift(resolution, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ShapeGrid(resolution, [[0]])
+
+
 def test_grid_rejects_non_integer_arrays():
     with pytest.raises(ValueError, match="integers"):
         ShapeGrid(1, np.zeros((2, 2)))
