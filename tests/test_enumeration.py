@@ -259,11 +259,11 @@ def test_json_dict_shape():
         ({"0": Dyadic(2)}, "likelihood 2 is not"),
         ({"0": Dyadic(0), "1": Dyadic(1)}, "likelihood 0 is not"),
         ({"0": Dyadic(-1, 1), "1": Dyadic(1)}, "likelihood -1/2 is not"),
-        ({"0": 1}, "likelihood 1 is not a Dyadic"),
-        ({"0": Dyadic(1, 1), "1": 0.5}, "likelihood 0.5 is not a Dyadic"),
         ({"0": Dyadic(1, 1), "1": Dyadic(1, 2)}, "likelihoods sum to 3/4, expected 1"),
         ({"0": Dyadic(1), "1": Dyadic(1, 60)}, "likelihoods sum to"),
         ({}, "likelihoods sum to 0, expected 1"),
+        ({"0": 1}, "likelihood 1 is not a Dyadic"),
+        ({"0": Dyadic(1, 1), "1": 0.5}, "likelihood 0.5 is not a Dyadic"),
     ],
 )
 def test_output_distribution_validation(outputs, message):
