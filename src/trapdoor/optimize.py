@@ -10,6 +10,15 @@ distribution), so "BA result <= bound" checks are rigorous up to float
 error.  Everything here is double precision on purpose; exactness lives in
 the other modules.
 
+The loop takes the over-relaxed step p_i * 2**(2 (D_i - max D)) (the
+natural-gradient BA of Matz and Duhamel, ITW 2004), in about half the plain
+step's iterations.  A monotone safeguard keeps it safe: a relaxed iterate
+that does not strictly raise the lower end, or that leaves an output dead
+which was live, is dropped for the plain step from the iterate before it,
+and the relaxed step is taken only while max D is below 26 bits, so that it
+sends no mass of normal size to 0.  The bracket holds for every
+distribution p, whichever step produced it, so the certificate is unchanged.
+
 The comparisons are per block: repeated use of the channel over many blocks
 couples consecutive blocks through the final state, which is out of scope
 here.
@@ -28,6 +37,14 @@ from . import config
 from .bounds import closed_form, entropy_vector_direct
 from .channel import ChannelMatrix, build_channel_matrix
 from .matrices import exact_product
+
+
+# the relaxed step is taken only from an iterate whose max D is below this
+# many bits; as every D_i >= 0, its factors 2**(2 (D_i - max D)) are then at
+# least 2**-52, so no mass of at least 2**-1022 (the smallest normal double)
+# underflows to 0 in one step.  From the uniform start max D <= 2 n bits, so
+# the rule only acts on starts with tiny masses, far from the optimum.
+_RELAX_BELOW = 26.0
 
 
 class ConvergenceError(RuntimeError):
@@ -58,9 +75,17 @@ def _float_matrix(P: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
     wlogw is -h from entropy_vector_direct (a matrix it rejects raises
     ValueError).  Both are exact in double precision: entries are 0 or powers
     of two, and each h * 2**n is a small integer.  ``0.0 -`` keeps +0.0 for the all-s0 row.
+    W starts on a 64-byte boundary: otherwise the speed of the matrix-vector
+    products depends on where the allocator put it (BA at n = 7 took 25 to
+    32 ms by its address mod 64).
     """
     wlogw = 0.0 - entropy_vector_direct(P).array * 2.0**-P.n
-    return P.data.array * 2.0**-P.data.exp, wlogw
+    size = P.dim * P.dim
+    raw = np.empty(size + 8)
+    start = -raw.ctypes.data % 64 // 8
+    W = raw[start : start + size].reshape(P.dim, P.dim)
+    np.multiply(P.data.array, 2.0**-P.data.exp, out=W)
+    return W, wlogw
 
 
 def _divergences(W: np.ndarray, wlogw: np.ndarray, logq: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -175,6 +200,18 @@ def blahut_arimoto(
     float mass is 0 (which a positive but subnormal init entry can produce),
     so such a run ends unconverged rather than at a wrong value.
 
+    From an accepted iterate p with exponents E = D - max D the loop takes
+    the over-relaxed step p * 2**(2 E), normalized.  That iterate is accepted
+    only if it strictly raises the lower end and leaves no output dead
+    (q_j == 0) that was live at p; otherwise p and E come back from the
+    second buffer and the plain step p * 2**E is taken instead, which is
+    always accepted.  The relaxed step is taken only while max D is below
+    _RELAX_BELOW bits, so it underflows no normal mass.  iterations counts
+    every evaluation, rejected ones included; history, the stopping rule and
+    the report see accepted iterates only.  Each iterate's [I(p), max D]
+    brackets the capacity whatever step produced p, so the certificate is
+    that of plain BA.
+
     Each iteration works in buffers allocated once.  Only an iteration with
     a dead output (log2 0 = -inf makes max D non-finite), or a restricted
     alphabet, takes the masked step.
@@ -188,11 +225,14 @@ def blahut_arimoto(
     dim = P.dim
     p = np.full(dim, 1.0 / dim) if init is None else config.probabilities(init, dim)
     alphabet = None if p.all() else p > 0.0
-    q = np.empty(W.shape[1])
+    # the accepted iterate's p, exponents and q wait in the second buffers
+    # while the relaxed step's iterate is evaluated
+    p_prev, D, E = np.empty(dim), np.empty(dim), np.empty(dim)
+    q, q_prev = np.empty(W.shape[1]), np.empty(W.shape[1])
     logq = np.empty_like(q)
-    D = np.empty(dim)
     history: list[tuple[float, float]] | None = [] if track_history else None
-    lower = upper = float("nan")
+    lower = float("-inf")
+    relaxed = False
     it = 0
     gap = float("inf")
     with np.errstate(divide="ignore", invalid="ignore"):  # log2 0 and 0 * -inf on a dead output
@@ -200,20 +240,34 @@ def blahut_arimoto(
             np.matmul(p, W, out=q)
             np.log2(q, out=logq)
             _divergences(W, wlogw, logq, D)
-            upper = float(D.max())
-            if alphabet is None and math.isfinite(upper):
-                lower = float(p.dot(D))
-                D -= upper
+            top = float(D.max())
+            killed = False  # a finite max D means no output is dead
+            if alphabet is None and math.isfinite(top):
+                low = float(p.dot(D))
+                D -= top
             else:
-                lower, upper = _masked_step(W, wlogw, p, q, logq, alphabet, D)
-            if history is not None:
-                history.append((lower / P.n, upper / P.n))
-            gap = (upper - lower) / P.n
-            if gap <= tol:
-                break
+                low, top = _masked_step(W, wlogw, p, q, logq, alphabet, D)
+                killed = relaxed and bool(np.any((q == 0.0) & (q_prev > 0.0)))
+            if relaxed and (killed or not low > lower):
+                p, p_prev = p_prev, p
+                relaxed = False
+            else:
+                lower = low
+                if history is not None:
+                    history.append((low / P.n, top / P.n))
+                gap = (top - low) / P.n
+                if gap <= tol:
+                    break
+                D, E = E, D
+                q, q_prev = q_prev, q
+                relaxed = top < _RELAX_BELOW
+            np.multiply(E, 2.0 if relaxed else 1.0, out=D)  # D is free: swapped out or rejected
             np.exp2(D, out=D)
-            p *= D
-            p /= p.sum()
+            np.multiply(p, D, out=p_prev)
+            p_prev /= p_prev.sum()
+            p, p_prev = p_prev, p
+        else:
+            p = p_prev  # max_iter reached: report the last accepted iterate
     return OptimizationReport(
         n=P.n,
         s0=P.s0,

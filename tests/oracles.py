@@ -12,13 +12,14 @@ big-integer product, the list-backed channel and inversion ladders, the
 list-backed h and w recursions and the depth-first output enumeration are
 the package's former implementations, kept here as references for the
 float64 products, the array-backed ladders and vector recursions and the
-level-wise enumeration.  The Blahut-Arimoto loop that masks the support and
-allocates its temporaries on every iteration is the former optimizer loop,
-kept as the reference for the one that works in preallocated buffers.  The
-cell action of an affine map, found by applying the map to three cell centres
-in Fractions, is the reference for the closed form in `fractal._cell_transform`,
-and the kernel search over any integer action is the reference for the closed
-form in `fractal._self_overlap`.
+level-wise enumeration.  The Blahut-Arimoto loop that allocates its
+temporaries on every iteration restates the optimizer's safeguarded
+over-relaxed steps, as the reference for the loop that works in
+preallocated buffers; with relaxed=False it takes the plain steps the
+optimizer took before.  The cell action of an affine map, found by applying
+the map to three cell centres in Fractions, is the reference for the closed
+form in `fractal._cell_transform`, and the kernel search over any integer
+action is the reference for the closed form in `fractal._self_overlap`.
 """
 
 from __future__ import annotations
@@ -139,33 +140,53 @@ def mutual_information_reference(P: list[list[float]], p: list[float], n: int) -
     return total / n
 
 
-def blahut_arimoto_reference(W, n: int, tol: float, max_iter: int, track_history: bool = False):
+def blahut_arimoto_reference(
+    W, n: int, tol: float, max_iter: int, track_history: bool = False, relaxed: bool = True
+):
     """(iterations, capacity_per_letter, final_gap, distribution, history) of
-    Blahut-Arimoto on the float channel W from the uniform start."""
+    Blahut-Arimoto on the float channel W from the uniform start.
+
+    With relaxed=False every step is the plain one, p * 2**(D - max D).
+    Otherwise an accepted iterate whose max D is below 26 bits takes the
+    over-relaxed step p * 2**(2 (D - max D)); its result is accepted only if
+    it strictly raises the lower end and leaves no output dead that was
+    live, else the accepted iterate takes the plain step instead.  Every
+    evaluation counts as an iteration.  The
+    upper end is the max over all inputs, those whose mass underflowed to 0
+    included, so the bracket certifies the full alphabet; a run that reaches
+    a dead output in an accepted iterate is outside what this loop covers.
+    """
     wlogw = (W * np.log2(np.where(W > 0.0, W, 1.0))).sum(axis=1)
     dim = W.shape[0]
-    p = np.full(dim, 1.0 / dim)
+    p = best = np.full(dim, 1.0 / dim)
     history = [] if track_history else None
-    lower = float("nan")
+    saved = None  # (p, exponents, q) of the accepted iterate a relaxed step left
+    lower = float("-inf")
     it = 0
     gap = float("inf")
     for it in range(1, max_iter + 1):
-        support = p > 0.0
         q = p @ W
         D = wlogw - W @ np.log2(np.where(q > 0.0, q, 1.0))
-        Ds = D[support]
-        lower = float(p[support] @ Ds)
-        upper = float(Ds.max())
-        if history is not None:
-            history.append((lower / n, upper / n))
-        gap = (upper - lower) / n
-        if gap <= tol:
-            break
-        factor = np.zeros(dim)
-        factor[support] = np.exp2(Ds - upper)
-        p = p * factor
+        low = float(p @ D)
+        upper = float(D.max())
+        exponents = D - upper
+        killed = saved is not None and bool(np.any((q == 0.0) & (saved[2] > 0.0)))
+        if saved is not None and (killed or not low > lower):
+            p, exponents = saved[0], saved[1]
+            lam = 1.0
+            saved = None
+        else:
+            best, lower = p, low
+            if history is not None:
+                history.append((low / n, upper / n))
+            gap = (upper - low) / n
+            if gap <= tol:
+                break
+            lam = 2.0 if relaxed and upper < 26.0 else 1.0
+            saved = (p, exponents, q) if lam == 2.0 else None
+        p = p * np.exp2(lam * exponents)
         p = p / p.sum()
-    return it, lower / n, gap, p, history
+    return it, lower / n, gap, best, history
 
 
 def output_masses_nonnegative(P: list[list[Fraction]], p: list[Fraction]) -> bool:
